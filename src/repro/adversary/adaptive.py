@@ -90,7 +90,7 @@ class AdaptiveAdversary(Adversary):
         for source, destination in self.choose_routes(round_number, occupancy):
             if destination <= source:
                 continue
-            crossed = list(range(source, destination))
+            crossed = range(source, destination)
             if self._bucket.can_inject(crossed):
                 self._bucket.inject(crossed)
                 injection = make_injection(round_number, source, destination)

@@ -18,7 +18,9 @@ Two equivalent views are implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..core.packet import Injection
 from ..network.errors import BoundednessViolationError
@@ -33,6 +35,10 @@ __all__ = [
     "tightest_sigma",
     "TokenBucket",
 ]
+
+#: The buffers one packet crosses: ``range(source, destination)`` on a line,
+#: or a list of distinct buffer indices along a tree path.
+Route = Union[range, Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -154,6 +160,13 @@ def tightest_sigma(
     return tightest_bound(pattern, topology, rho)
 
 
+def _index(route: Route) -> Union[slice, np.ndarray]:
+    """A range becomes a zero-copy slice; any other route a fancy index."""
+    if isinstance(route, range):
+        return slice(route.start, route.stop, route.step)
+    return np.asarray(route, dtype=np.intp)
+
+
 class TokenBucket:
     """Per-buffer leaky buckets for *constructing* bounded patterns.
 
@@ -167,6 +180,10 @@ class TokenBucket:
     token-bucket cap is ``sigma + rho`` *immediately after refill* so that a
     steady stream at exactly rate ``rho`` is admissible.  This matches the
     excess recurrence ``xi_t = max(xi_{t-1} + N_t - rho, 0) <= sigma``.
+
+    Token levels live in one ``float64`` array.  Each per-buffer operation is
+    the same IEEE-754 double add, min or subtract a list of Python floats
+    would do, so admission decisions do not depend on the representation.
     """
 
     def __init__(self, num_nodes: int, rho: float, sigma: float) -> None:
@@ -178,7 +195,7 @@ class TokenBucket:
         self.rho = float(rho)
         self.sigma = float(sigma)
         # tokens[v] = sigma - xi(v): remaining crossings admissible at v.
-        self._tokens: List[float] = [float(sigma)] * num_nodes
+        self._tokens = np.full(num_nodes, self.sigma, dtype=np.float64)
         self._refilled_this_round = False
 
     def start_round(self) -> None:
@@ -188,28 +205,32 @@ class TokenBucket:
         constraint allows ``N_t(v) <= sigma - xi_{t-1}(v) + rho`` crossings in
         round ``t`` (Lemma 2.3, part 2).
         """
-        cap = self.sigma + self.rho
-        self._tokens = [min(tokens + self.rho, cap) for tokens in self._tokens]
+        np.add(self._tokens, self.rho, out=self._tokens)
+        np.minimum(self._tokens, self.sigma + self.rho, out=self._tokens)
         self._refilled_this_round = True
 
-    def can_inject(self, buffers_crossed: List[int]) -> bool:
+    def can_inject(self, route: Route) -> bool:
         """Whether one more packet crossing the given buffers is admissible."""
-        return all(self._tokens[v] >= 1.0 for v in buffers_crossed)
+        levels = self._tokens[_index(route)]
+        return not levels.size or bool(levels.min() >= 1.0)
 
-    def inject(self, buffers_crossed: List[int]) -> None:
+    def inject(self, route: Route) -> None:
         """Consume one token on every crossed buffer (caller checked admissibility)."""
-        for v in buffers_crossed:
-            self._tokens[v] -= 1.0
+        self._tokens[_index(route)] -= 1.0
 
     def available(self, buffer: int) -> float:
         """Remaining tokens at ``buffer`` this round."""
-        return self._tokens[buffer]
+        return float(self._tokens[buffer])
 
-    def headroom(self, buffers_crossed: List[int]) -> int:
+    def headroom(self, route: Route) -> int:
         """How many more packets with this route are admissible right now."""
-        if not buffers_crossed:
-            return 0
-        return int(min(self._tokens[v] for v in buffers_crossed))
+        levels = self._tokens[_index(route)]
+        return int(levels.min()) if levels.size else 0
+
+    def last_exhausted(self, route: range) -> Optional[int]:
+        """The rightmost buffer of ``route`` holding fewer than one token, or ``None``."""
+        hits = np.flatnonzero(self._tokens[_index(route)] < 1.0)
+        return route[int(hits[-1])] if hits.size else None
 
     # -- checkpoint support -------------------------------------------------------
 
@@ -220,7 +241,7 @@ class TokenBucket:
         so restoring the state reproduces admission decisions bit for bit.
         """
         return {
-            "tokens": list(self._tokens),
+            "tokens": self._tokens.tolist(),
             "refilled": self._refilled_this_round,
         }
 
@@ -232,7 +253,7 @@ class TokenBucket:
                 f"token-bucket state has {len(tokens)} buffers, "
                 f"expected {self.num_nodes}"
             )
-        self._tokens = tokens
+        self._tokens = np.array(tokens, dtype=np.float64)
         self._refilled_this_round = bool(state.get("refilled", False))
 
 

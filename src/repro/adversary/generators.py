@@ -66,12 +66,8 @@ __all__ = [
 BoundedAdversary = Union[InjectionPattern, StreamingAdversary]
 
 
-def _pick_destinations(
-    topology: LineTopology,
-    num_destinations: int,
-    rng: random.Random,
-) -> List[int]:
-    """Pick ``d`` distinct destination nodes (always including the last node)."""
+def _check_num_destinations(topology: LineTopology, num_destinations: int) -> None:
+    """Refuse a destination count that does not fit on the line."""
     n = topology.num_nodes
     if num_destinations < 1:
         raise ConfigurationError("num_destinations must be >= 1")
@@ -79,6 +75,16 @@ def _pick_destinations(
         raise ConfigurationError(
             f"cannot place {num_destinations} destinations on a line with {n} nodes"
         )
+
+
+def _pick_destinations(
+    topology: LineTopology,
+    num_destinations: int,
+    rng: random.Random,
+) -> List[int]:
+    """Pick ``d`` distinct destination nodes (always including the last node)."""
+    _check_num_destinations(topology, num_destinations)
+    n = topology.num_nodes
     candidates = list(range(1, n))
     rng.shuffle(candidates)
     chosen = set(candidates[: num_destinations - 1])
@@ -182,7 +188,7 @@ class _RandomLineRows(_BucketRows):
                 continue
             destination = rng.choice(self.destinations)
             source = rng.randrange(0, destination)
-            crossed = list(range(source, destination))
+            crossed = range(source, destination)
             if bucket.can_inject(crossed):
                 bucket.inject(crossed)
                 row.append((source, destination))
@@ -216,7 +222,7 @@ def random_line_adversary(
     _validate_envelope(rho, sigma)
     if not (0 < intensity <= 1):
         raise ConfigurationError(f"intensity must be in (0, 1], got {intensity}")
-    _pick_destinations(topology, num_destinations, random.Random(seed))  # fail fast
+    _check_num_destinations(topology, num_destinations)  # fail fast
     return _front_end(
         lambda: _RandomLineRows(
             topology, rho, sigma, num_rounds, num_destinations, seed, intensity
@@ -248,22 +254,22 @@ class _SaturatingLineRows(_BucketRows):
             progress = False
             for destination in self.destinations:
                 # Longest admissible route into this destination.
-                crossed_full = list(range(0, destination))
+                crossed_full = range(0, destination)
                 if bucket.can_inject(crossed_full):
                     bucket.inject(crossed_full)
                     row.append((0, destination))
                     progress = True
                     continue
-                # Otherwise try a shorter route starting after the first
+                # Otherwise try a shorter route starting after the rightmost
                 # exhausted buffer.
-                exhausted = [v for v in crossed_full if bucket.available(v) < 1.0]
-                if not exhausted:
+                exhausted = bucket.last_exhausted(crossed_full)
+                if exhausted is None:
                     continue
-                start = max(exhausted) + 1
+                start = exhausted + 1
                 if start >= destination:
                     continue
-                crossed = list(range(start, destination))
-                if crossed and bucket.can_inject(crossed):
+                crossed = range(start, destination)
+                if bucket.can_inject(crossed):
                     bucket.inject(crossed)
                     row.append((start, destination))
                     progress = True
@@ -288,7 +294,7 @@ def saturating_line_adversary(
     harshest *feasible* load within the declared bound and is the default
     workload for validating the upper-bound propositions.
     """
-    _pick_destinations(topology, num_destinations, random.Random(seed))  # fail fast
+    _check_num_destinations(topology, num_destinations)  # fail fast
     return _front_end(
         lambda: _SaturatingLineRows(
             topology, rho, sigma, num_rounds, num_destinations, seed
@@ -319,7 +325,7 @@ class _SingleDestinationRows(_BucketRows):
         row: RouteRow = []
         for _ in range(self.attempts):
             source = rng.randrange(0, destination)
-            crossed = list(range(source, destination))
+            crossed = range(source, destination)
             if bucket.can_inject(crossed):
                 bucket.inject(crossed)
                 row.append((source, destination))
@@ -376,7 +382,7 @@ class _BurstyRows(_BucketRows):
                 progress = False
                 for destination in self.destinations:
                     source = rng.randrange(0, destination)
-                    crossed = list(range(source, destination))
+                    crossed = range(source, destination)
                     if bucket.can_inject(crossed):
                         bucket.inject(crossed)
                         row.append((source, destination))
@@ -403,7 +409,7 @@ def bursty_adversary(
     """
     if burst_period < 1:
         raise ConfigurationError(f"burst_period must be >= 1, got {burst_period}")
-    _pick_destinations(topology, num_destinations, random.Random(seed))  # fail fast
+    _check_num_destinations(topology, num_destinations)  # fail fast
     return _front_end(
         lambda: _BurstyRows(
             topology, rho, sigma, num_rounds, num_destinations, burst_period, seed

@@ -102,7 +102,7 @@ def pts_burst_stress(
     topology.validate_route(0, destination)
     bucket = TokenBucket(topology.num_nodes, rho, sigma)
     injections: List[Injection] = []
-    crossed = list(range(0, destination))
+    crossed = range(0, destination)
     for t in range(num_rounds):
         bucket.start_round()
         while bucket.can_inject(crossed):
@@ -142,7 +142,7 @@ def round_robin_destination_stress(
         while injected:
             injected = False
             destination = destinations[next_destination % len(destinations)]
-            crossed = list(range(source, destination))
+            crossed = range(source, destination)
             if bucket.can_inject(crossed):
                 bucket.inject(crossed)
                 injections.append(make_injection(t, source, destination))
@@ -169,25 +169,19 @@ def nested_route_stress(
     in the introduction.
     """
     destinations = evenly_spaced_destinations(topology.num_nodes, num_destinations)
-    sources = [0] + destinations[:-1]
+    wave = list(zip([0] + destinations[:-1], destinations))
+    # The wave's routes tile [0, w_d) edge-disjointly, so the wave crosses
+    # every buffer of this one range exactly once.
+    crossed = range(0, destinations[-1])
     bucket = TokenBucket(topology.num_nodes, rho, sigma)
     injections: List[Injection] = []
     for t in range(num_rounds):
         bucket.start_round()
-        progress = True
-        while progress:
-            progress = False
-            # A whole wave is admitted or skipped atomically so the nested
-            # structure is preserved.
-            wave = list(zip(sources, destinations))
-            if all(
-                bucket.can_inject(list(range(src, dst))) for src, dst in wave
-            ):
-                for src, dst in wave:
-                    crossed = list(range(src, dst))
-                    bucket.inject(crossed)
-                    injections.append(make_injection(t, src, dst))
-                progress = True
+        # A whole wave is admitted or skipped atomically so the nested
+        # structure is preserved.
+        while bucket.can_inject(crossed):
+            bucket.inject(crossed)
+            injections.extend(make_injection(t, src, dst) for src, dst in wave)
     return InjectionPattern(injections, rho=rho, sigma=sigma)
 
 
@@ -225,7 +219,7 @@ def hierarchy_stress(
         while injected:
             injected = False
             destination = destinations[next_destination % len(destinations)]
-            crossed = list(range(0, destination))
+            crossed = range(0, destination)
             if bucket.can_inject(crossed):
                 bucket.inject(crossed)
                 injections.append(make_injection(t, 0, destination))

@@ -11,18 +11,16 @@ interface used by the simulator and the forwarding algorithms:
 * ``path_contains(u, w, v)``        — whether ``v`` lies on ``Path(u, w)``,
 * ``is_upstream(u, v)``             — the partial order ``u \\preceq v``.
 
-Trees are backed by :mod:`networkx` so random tree generation and drawing are
-easy, but the hot-path queries (``next_hop``, ``path_contains``) are answered
-from precomputed parent pointers and depths, not graph traversals.
+Trees are stored as parent pointers and depths, so the hot-path queries
+(``next_hop``, ``path_contains``) need no graph traversal.  :mod:`networkx`
+(~19 MB resident per process) is imported only by ``to_networkx``.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..api.registry import register_topology
 from .errors import TopologyError
@@ -37,6 +35,9 @@ __all__ = [
     "binary_tree",
     "build_tree_topology",
 ]
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Edge = Tuple[int, int]
 
@@ -195,6 +196,8 @@ class LineTopology(Topology):
 
     def to_networkx(self) -> nx.DiGraph:
         """Export as a :class:`networkx.DiGraph` (for drawing / analysis)."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(self.nodes)
         graph.add_edges_from(self.edges)
@@ -370,6 +373,8 @@ class TreeTopology(Topology):
 
     def to_networkx(self) -> nx.DiGraph:
         """Export as a :class:`networkx.DiGraph` with edges toward the root."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(self.nodes)
         graph.add_edges_from(self.edges)

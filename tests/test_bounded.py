@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from float_bucket_oracle import FloatTokenBucket
 from repro.adversary.base import InjectionPattern
 from repro.adversary.bounded import (
     TokenBucket,
@@ -143,3 +146,48 @@ class TestTokenBucket:
     def test_headroom_empty_route(self):
         bucket = TokenBucket(2, rho=0.5, sigma=3)
         assert bucket.headroom([]) == 0
+
+    def test_range_and_list_routes_agree(self):
+        bucket = TokenBucket(8, rho=0.5, sigma=2)
+        bucket.start_round()
+        bucket.inject(range(2, 5))
+        bucket.inject([3, 4])
+        for route in (range(0, 8), range(2, 4), range(5, 8), range(4, 5)):
+            as_list = list(route)
+            assert bucket.can_inject(route) == bucket.can_inject(as_list)
+            assert bucket.headroom(route) == bucket.headroom(as_list)
+        assert bucket.headroom(range(0, 8)) == 0
+        assert bucket.headroom(range(5, 8)) == 2
+        assert bucket.last_exhausted(range(0, 8)) == 4
+        assert bucket.last_exhausted(range(5, 8)) is None
+
+    def test_empty_range_behaves_like_empty_list(self):
+        bucket = TokenBucket(3, rho=0.5, sigma=0)
+        bucket.start_round()
+        for empty in ([], range(2, 2), range(2, 1)):
+            assert bucket.can_inject(empty) is True
+            assert bucket.headroom(empty) == 0
+            bucket.inject(empty)
+        assert bucket.state()["tokens"] == [0.5, 0.5, 0.5]
+
+    def test_state_is_plain_floats_matching_the_oracle(self):
+        bucket = TokenBucket(5, rho=0.3, sigma=2.5)
+        oracle = FloatTokenBucket(5, rho=0.3, sigma=2.5)
+        for b in (bucket, oracle):
+            for _ in range(3):
+                b.start_round()
+                b.inject(range(1, 4))
+        state = bucket.state()
+        assert all(type(level) is float for level in state["tokens"])
+        assert json.dumps(state) == json.dumps(oracle.state())
+
+    def test_set_state_round_trips(self):
+        bucket = TokenBucket(4, rho=0.7, sigma=1)
+        bucket.start_round()
+        bucket.inject([0, 2])
+        saved = json.loads(json.dumps(bucket.state()))
+        restored = TokenBucket(4, rho=0.7, sigma=1)
+        restored.set_state(saved)
+        assert restored.state() == bucket.state()
+        with pytest.raises(ValueError, match="3 buffers, expected 4"):
+            restored.set_state({"tokens": [1.0, 1.0, 1.0]})

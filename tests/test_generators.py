@@ -113,6 +113,24 @@ class TestBurstyAdversary:
             bursty_adversary(LineTopology(8), 0.5, 1, 10, 1, burst_period=0)
 
 
+@pytest.mark.parametrize(
+    "generator",
+    [random_line_adversary, saturating_line_adversary, bursty_adversary],
+    ids=lambda g: g.__name__,
+)
+@pytest.mark.parametrize(
+    "num_destinations, message",
+    [(0, "num_destinations must be >= 1"),
+     (8, "cannot place 8 destinations on a line with 8 nodes")],
+)
+def test_destination_count_is_refused_before_streaming(
+    generator, num_destinations, message
+):
+    """A bad ``num_destinations`` fails at the call, not at the first row."""
+    with pytest.raises(ConfigurationError, match=message):
+        generator(LineTopology(8), 0.5, 1, 10, num_destinations, stream=True)
+
+
 class TestRandomTreeAdversary:
     def test_bounded_on_caterpillar(self):
         tree = caterpillar_tree(5, 2)
