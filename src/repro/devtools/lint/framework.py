@@ -162,6 +162,9 @@ class LintConfig:
         # hand-off protocol directly (repro/network/shm.py).
         "send_block",
         "recv_block",
+        # The batch forwarding loop: its two exchange points order the
+        # boundary view and hand-off (repro/network/batch.py).
+        "_segment_rounds",
     )
     #: Modules allowed to call ``print`` (user-facing surfaces).
     print_allowed_modules: Tuple[str, ...] = (

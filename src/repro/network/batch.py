@@ -21,17 +21,18 @@ round in the ``dlv`` column, and the objects are materialised — in row
 order, which is injection order — only at batch boundaries.
 
 The columns and maxima live in flat ``array('q')`` buffers — already the
-int64 layout numpy wants — and when numpy is importable the kernel views
-them zero-copy (``numpy.frombuffer``) for the batch-level work: whole-pattern
-route/destination pre-validation and the batch-boundary maxima folds.  When
-numpy is absent (or ``backend="python"`` forces the fallback) the same work
-runs as scalar integer loops over the same buffers, which is why the
-fallback is bit-identical by construction rather than by re-implementation.
+int64 layout numpy wants — and numpy views them zero-copy
+(``numpy.frombuffer``) for the batch-level work: whole-pattern
+route/destination pre-validation and the batch-boundary maxima folds.
 
-Forwarding is a single fused left-to-right scan per round: each active node
-pops its own packet *before* the carry from its predecessor lands, so the
-carry travels exactly one hop and the per-queue outcome equals the object
-engine's pop-all-then-place-all two-phase round.
+Every round — single-process, full-history, drain, and each segment of a
+sharded run (:mod:`repro.network.batch_sharded`) — runs through one loop,
+:meth:`BatchSimulator._segment_rounds`.  Forwarding is a single fused
+left-to-right scan per round over the nodes the engine owns: each active
+node pops its own packet *before* the carry from its predecessor lands, so
+the carry travels exactly one hop and the per-queue outcome equals the object
+engine's pop-all-then-place-all two-phase round.  The single-process engine
+is the segment ``[0, n-1]`` with empty prefix and suffix facts.
 
 Scope (everything else raises :class:`UnbatchableScenarioError`, which
 ``RunPolicy.engine="auto"`` catches to fall back to the object engine):
@@ -58,12 +59,9 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Generator, List, Optional, Tuple, Union
 
-try:  # pragma: no cover - numpy is normally present
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as np
 
 from ..adversary.base import InjectionPattern
 from ..baselines.greedy import GreedyForwarding
@@ -76,15 +74,12 @@ from ..core.scheduler import ForwardingAlgorithm
 from ..network.errors import (
     ConfigurationError,
     SchedulingError,
+    ShardingProtocolError,
     TopologyError,
     UnbatchableScenarioError,
 )
 from ..network.events import HistoryPolicy, RoundRecord
-from ..network.simulator import (
-    Simulator,
-    default_max_drain_rounds,
-    quiescence_window,
-)
+from ..network.simulator import Simulator
 from ..network.topology import LineTopology, Topology
 
 __all__ = ["BatchSimulator", "DEFAULT_BATCH_ROUNDS"]
@@ -135,12 +130,14 @@ class BatchSimulator(Simulator):
         Rounds advanced per batch window (>= 1).  Purely a sync cadence —
         results do not depend on it; ``batch_rounds=1`` degenerates to
         per-round syncing.
-    backend:
-        ``None`` (use numpy if importable), ``"numpy"`` (require it) or
-        ``"python"`` (force the pure ``array('q')`` fallback).
     """
 
     __slots__ = ()
+
+    #: Whether this engine owns one segment of a sharded run and so exchanges
+    #: boundary facts with its neighbours every round (see
+    #: :meth:`_segment_rounds`).
+    _segmented = False
 
     def __init__(
         self,
@@ -149,7 +146,6 @@ class BatchSimulator(Simulator):
         adversary: "object",
         *,
         batch_rounds: int = DEFAULT_BATCH_ROUNDS,
-        backend: Optional[str] = None,
         record_history: bool = False,
         record_occupancy_vectors: bool = False,
         history: Optional[Union[HistoryPolicy, str]] = None,
@@ -162,14 +158,6 @@ class BatchSimulator(Simulator):
         if batch_rounds < 1:
             raise ConfigurationError(
                 f"batch_rounds must be >= 1, got {batch_rounds}"
-            )
-        if backend not in (None, "numpy", "python"):
-            raise ConfigurationError(
-                f"backend must be 'numpy', 'python' or None, got {backend!r}"
-            )
-        if backend == "numpy" and _np is None:
-            raise ConfigurationError(
-                "backend='numpy' requested but numpy is not importable"
             )
         # Batchability checks, before super().__init__ touches anything.
         if not isinstance(topology, LineTopology):
@@ -206,9 +194,12 @@ class BatchSimulator(Simulator):
         )
 
         self.batch_rounds = batch_rounds
-        self._vec = _np if backend != "python" else None
         self._kind = kind
         self._n = topology.num_nodes
+        #: The nodes this engine owns: the whole line here, one segment in
+        #: :class:`~repro.network.batch_sharded.BatchSegmentSimulator`.
+        self.lo = 0
+        self.hi = self._n - 1
         self._max_dest = (
             topology.num_nodes
             if topology.allow_virtual_sink
@@ -242,8 +233,9 @@ class BatchSimulator(Simulator):
         self._pat_src: Optional[array] = None
         self._pat_dst: Optional[array] = None
         self._pat_ids: Optional[array] = None
-        self._prevalidate_pattern()
+        self._prevalidate_pattern(adversary)
         # Kernel state (populated by _load_kernel at the start of each run).
+        self._kernel_ready = False
         self._occ = array("q")
         self._mx = array("q")
         self._queues: List[deque] = []
@@ -258,11 +250,16 @@ class BatchSimulator(Simulator):
         self._stored = 0
         self._num_bad = 0
         self._gmax = 0
+        #: Flat log of every ingested hand-off, 6 words per entry
+        #: (round, pid, src, dst, injr, arr) — the property suite compares
+        #: this trace byte-for-byte across transports.  Only segment engines
+        #: ingest.
+        self._handoff_trace = array("q")
 
     # -- batch-level pre-validation ------------------------------------------------
 
-    def _prevalidate_pattern(self) -> None:
-        """Whole-pattern route/destination check (vectorized under numpy).
+    def _prevalidate_pattern(self, pattern: object) -> None:
+        """Whole-pattern route/destination check, vectorized.
 
         Only ever *clears* work from the hot loop: when the check cannot
         prove every injection valid, the per-injection scalar checks stay on
@@ -270,40 +267,27 @@ class BatchSimulator(Simulator):
         valid eager pattern additionally unlocks the object-free injection
         fast path (``self._fast_rows``).
         """
-        if type(self.adversary) is not InjectionPattern:
+        if type(pattern) is not InjectionPattern:
             return
-        store = self.adversary._store
+        store = pattern._store
         if not len(store):
             self._routes_prevalidated = True
             self._dests_prevalidated = True
-            self._fast_rows = self.adversary._by_round
+            self._fast_rows = pattern._by_round
             return
-        n = self._n
-        max_dest = self._max_dest
         sources = store.sources
         destinations = store.destinations
-        np = self._vec
-        if np is not None:
-            s = np.frombuffer(sources, dtype=np.int64)
-            d = np.frombuffer(destinations, dtype=np.int64)
-            routes_ok = bool(
-                ((s >= 0) & (s < n) & (d > s) & (d <= max_dest)).all()
-            )
-            dests_ok = bool((d == self._dest).all())
-        else:
-            routes_ok = all(
-                0 <= source < n and source < destination <= max_dest
-                for source, destination in zip(sources, destinations)
-            )
-            dests_ok = all(
-                destination == self._dest for destination in destinations
-            )
+        s = np.frombuffer(sources, dtype=np.int64)
+        d = np.frombuffer(destinations, dtype=np.int64)
+        routes_ok = bool(
+            ((s >= 0) & (s < self._n) & (d > s) & (d <= self._max_dest)).all()
+        )
+        dests_ok = bool((d == self._dest).all())
         self._routes_prevalidated = routes_ok
         if self._kind != _GREEDY:
             self._dests_prevalidated = dests_ok
         if routes_ok and (self._kind == _GREEDY or dests_ok):
-            self._fast_rows = self.adversary._by_round
-        if self._fast_rows is not None:
+            self._fast_rows = pattern._by_round
             self._pat_src = sources
             self._pat_dst = destinations
             self._pat_ids = store.packet_ids
@@ -333,6 +317,7 @@ class BatchSimulator(Simulator):
         self._stored = 0
         self._num_bad = 0
         self._gmax = self._timeline.max_occupancy
+        self._kernel_ready = True
         for node, peak in self._timeline.per_node_maxima().items():
             mx[node] = peak
         arrival = (
@@ -467,23 +452,18 @@ class BatchSimulator(Simulator):
                 for row in queue
             }
         # Timeline maxima: numpy views the flat maxima buffer zero-copy for
-        # the nonzero scan; the fallback is the same scan in scalar python.
-        mx = self._mx
-        if self._vec is not None:
-            np = self._vec
-            view = np.frombuffer(mx, dtype=np.int64)
-            maxima = {
-                int(node): int(view[node]) for node in np.nonzero(view)[0]
-            }
-        else:
-            maxima = {node: peak for node, peak in enumerate(mx) if peak}
-        self._timeline.load_maxima(maxima)
+        # the nonzero scan.
+        view = np.frombuffer(self._mx, dtype=np.int64)
+        self._timeline.load_maxima(
+            {int(node): int(view[node]) for node in np.nonzero(view)[0]}
+        )
         self._timeline.max_occupancy = self._gmax
         # GC cadence: the object engine decrements once per executed round
         # and resets (dropping empty pseudo-buffers) at zero.
         interval = algorithm._gc_interval
         remainder = self._round % interval
         algorithm._rounds_until_gc = interval - remainder if remainder else interval
+
 
     # -- run loop --------------------------------------------------------------------
 
@@ -508,7 +488,6 @@ class BatchSimulator(Simulator):
                 )
         horizon = num_rounds if num_rounds is not None else self.adversary.horizon
         self._load_kernel()
-        use_window = not self.record_history
         drained = True
         try:
             t = self._round
@@ -520,101 +499,136 @@ class BatchSimulator(Simulator):
                     # mid-batch: the next cut is the window's far edge.
                     next_cut = (t // checkpoint_every + 1) * checkpoint_every
                     stop = min(stop, next_cut)
-                if use_window:
-                    self._window(t, stop)
-                else:
-                    for round_number in range(t, stop):
-                        self._kernel_round(round_number, inject=True)
+                self._window(t, stop, inject=True)
                 t = stop
                 if checkpoint_every is not None and t % checkpoint_every == 0:
                     self._sync_objects()
                     self.save_checkpoint(checkpoint_path, spec=checkpoint_spec)
             if drain:
-                drained = self._kernel_drain(
-                    max(horizon, self._round), max_drain_rounds
-                )
+                drained = self._drain(max(horizon, self._round), max_drain_rounds)
             else:
                 drained = self._stored == 0
         finally:
             self._sync_objects()
         return self._build_result(drained)
 
-    def _kernel_drain(
-        self, start_round: int, max_drain_rounds: Optional[int]
-    ) -> bool:
-        pending = self._stored
-        if max_drain_rounds is None:
-            max_drain_rounds = default_max_drain_rounds(self._n, pending)
-        window = quiescence_window(self._n)
-        round_number = start_round
-        rounds_drained = 0
-        quiet_rounds = 0
-        # staged_count() is 0 for the whole vectorized family, so the object
-        # engine's "quiet" test degenerates to forwarded == 0.
-        while self._stored > 0 and rounds_drained < max_drain_rounds:
-            forwarded = self._kernel_round(round_number, inject=False)
-            round_number += 1
-            rounds_drained += 1
-            if forwarded == 0:
-                quiet_rounds += 1
-                if quiet_rounds >= window:
-                    break
-            else:
-                quiet_rounds = 0
-        return self._stored == 0
+    # Drain is the inherited Simulator._drain: staged_count() is 0 for the
+    # whole vectorized family, so its quiescence test reads only the
+    # forwarded count returned here.
 
-    # -- fused batch window (delta-history hot path) ---------------------------------
+    def _pending(self) -> int:
+        if self._kernel_ready:
+            return self._stored
+        return super()._pending()
 
-    def _window(self, t0: int, t1: int) -> None:
-        """Advance rounds ``t0 .. t1-1`` on flat state, one fused scan each.
+    def _execute_round(self, round_number: int, *, inject: bool) -> int:
+        return self._window(round_number, round_number + 1, inject=inject)
 
-        Selection and forwarding run in a single left-to-right pass: a node
-        pops its own packet *before* the carry from its predecessor lands,
-        so the carry moves exactly one hop per round — the same per-queue
-        outcome as the object engine's pop-all-then-place-all round, with no
-        activation or move lists and no per-move column writes.  Only nodes
-        whose load *grew* since the previous measurement (carry landings on
-        a new node, injection sites) are maxima candidates, so the fold
-        touches O(moves), not O(n).
+    def _window(self, t0: int, t1: int, *, inject: bool) -> int:
+        """Run rounds ``t0 .. t1-1`` with no boundary to exchange across;
+        returns the last round's forwarded count."""
+        try:
+            next(self._segment_rounds(t0, t1, inject))
+        except StopIteration as done:
+            return done.value
+        raise ShardingProtocolError(
+            "a segment engine's rounds are driven through its boundary "
+            "exchange, not run()"
+        )
+
+    # -- the forwarding loop -----------------------------------------------------------
+
+    def _segment_rounds(
+        self, t0: int, t1: int, inject: bool
+    ) -> Generator[Any, Any, int]:
+        """Advance rounds ``t0 .. t1-1`` of the owned nodes ``[lo, hi]``.
+
+        Each round is injection, the ``L^t`` measurement fold, one fused
+        selection+forwarding scan and the round record.  The scan runs left
+        to right: a node pops its own packet *before* the carry from its
+        predecessor lands, so the carry moves exactly one hop per round — the
+        same per-queue outcome as the object engine's pop-all-then-place-all
+        round, with no activation or move lists.  Without full history only
+        nodes whose load *grew* since the previous measurement (carry
+        landings on a new node, injection sites) are maxima candidates, so
+        the fold touches O(moves), not O(n).
+
+        Decisions read pristine pre-round loads only — the scan never
+        modifies ``occ[v]`` before reaching ``v`` — so a segment that knows
+        the facts of the nodes outside it reproduces the whole-line scan
+        exactly.  A segment engine (``_segmented``) trades those facts at two
+        points per round:
+
+        * after the fold it yields its boundary view (the relay payload's
+          ``view`` dict) and is sent ``(prefix_leftmost, prefix_rightmost,
+          suffix_any_bad, right_first_load)``;
+        * after the scan it yields ``(handoff, forwarded, delivered,
+          stored)`` — ``handoff`` is the 5-word row leaving over the right
+          edge (ownership transferred) or ``None`` — and is sent the left
+          neighbour's hand-off to ingest, or ``None``.
+
+        The whole line is the segment ``[0, n-1]`` with empty prefix and
+        suffix facts, and never yields.  Kernel state stays in locals for
+        the whole window and is written back when the generator finishes.
+        Returns the last round's forwarded count.
         """
         kind = self._kind
         occ = self._occ
         mx = self._mx
         queues = self._queues
         touch = self._touch
+        touch_append = touch.append
         row_packet = self._row_packet
+        row_append = row_packet.append
+        deliver = self._deliver_row
         lifo = self._lifo
+        lo = self.lo
+        hi = self.hi
         last = self._last
-        n = self._n
+        seg_last = hi if hi < last else last
+        ends_line = hi >= last
         threshold = self._bad_threshold
         bad_minus = threshold - 1
+        tracks_bad = kind == _PTS or kind == _LOCAL
         work_conserving = self._work_conserving
         locality = self._locality
         policy = self._policy_code
         col_pid = self._col_pid
+        col_src = self._col_src
         col_dst = self._col_dst
         col_injr = self._col_injr
         col_arr = self._col_arr
+        col_dlv = self._col_dlv
         append_pid = col_pid.append
-        append_src = self._col_src.append
+        append_src = col_src.append
         append_dst = col_dst.append
         append_injr = col_injr.append
         append_arr = col_arr.append
-        append_dlv = self._col_dlv.append
-        row_append = row_packet.append
-        touch_append = touch.append
+        append_dlv = col_dlv.append
         fast_rows = self._fast_rows
-        get_rows = fast_rows.get if fast_rows is not None else None
+        get_rows = fast_rows.get if inject and fast_rows is not None else None
         pat_src = self._pat_src
         pat_dst = self._pat_dst
         pat_ids = self._pat_ids
         packet_store = self.packet_store
+        record = self.record_history
+        vectors = self.record_occupancy_vectors
+        history_append = self._history.append
+        segmented = self._segmented
+        handoff_trace = self._handoff_trace
         gmax = self._gmax
         num_bad = self._num_bad
         stored = self._stored
+        # Boundary facts; constant for the whole line.
+        prefix_leftmost = prefix_rightmost = -1
+        suffix_any_bad = False
+        right_first_load = 0
+        handoff: Optional[Tuple[int, int, int, int, int]] = None
+        forwarded = 0
         try:
             for rn in range(t0, t1):
                 # -- injection ----------------------------------------------
+                injected = 0
                 if get_rows is not None:
                     rows_in = get_rows(rn)
                     if rows_in is not None:
@@ -635,22 +649,37 @@ class BatchSimulator(Simulator):
                             touch_append(source)
                             if load == threshold:
                                 num_bad += 1
-                        count = len(rows_in)
-                        stored += count
-                        self._injected += count
+                        injected = len(rows_in)
+                        stored += injected
+                        self._injected += injected
                         if packet_store is not None:
                             for r in rows_in:
                                 packet_store.append(
                                     rn, pat_src[r], pat_dst[r], pat_ids[r]
                                 )
-                else:
+                elif inject:
                     self._stored = stored
                     self._num_bad = num_bad
-                    self._inject_round(rn)
+                    injected = self._inject_round(rn)
                     stored = self._stored
                     num_bad = self._num_bad
                 # -- measurement fold (L^t, after injection) ----------------
-                if touch:
+                if record:
+                    # The round record needs the whole L^t snapshot anyway,
+                    # so fold every owned node like observe() does.
+                    occupancy_before: Dict[int, int] = {}
+                    max_before = 0
+                    for node in range(lo, hi + 1):
+                        load = occ[node]
+                        occupancy_before[node] = load
+                        if load > max_before:
+                            max_before = load
+                        if load > mx[node]:
+                            mx[node] = load
+                            if load > gmax:
+                                gmax = load
+                    del touch[:]
+                elif touch:
                     for node in touch:
                         load = occ[node]
                         if load > mx[node]:
@@ -658,177 +687,292 @@ class BatchSimulator(Simulator):
                             if load > gmax:
                                 gmax = load
                     del touch[:]
-                if stored == 0:
-                    self._round = rn + 1
-                    continue
+                # -- boundary view (segment engines) ------------------------
+                if segmented:
+                    view = {
+                        "leftmost_bad": -1,
+                        "rightmost_bad": -1,
+                        "any_bad": num_bad > 0,
+                        "first_load": occ[lo],
+                    }
+                    if num_bad:
+                        if kind == _PTS:
+                            node = lo
+                            while occ[node] < threshold:
+                                node += 1
+                            view["leftmost_bad"] = node
+                        elif kind == _LOCAL:
+                            node = seg_last
+                            while occ[node] < threshold:
+                                node -= 1
+                            view["rightmost_bad"] = node
+                    (
+                        prefix_leftmost,
+                        prefix_rightmost,
+                        suffix_any_bad,
+                        right_first_load,
+                    ) = yield view
                 # -- selection + forwarding (fused carry chain) -------------
+                # A carry chain pops at every node from where it starts to
+                # the node before the one its carry lands on, so the scan
+                # counts pops per chain, not per pop: ``forwarded`` drops by
+                # the start node and grows by the landing node.
                 carry = -1
-                if kind == _PTS:
-                    if num_bad == 0:
-                        if not work_conserving:
-                            self._round = rn + 1
-                            continue
-                        start = 0
-                    else:
-                        start = 0
-                        while occ[start] < threshold:
-                            start += 1
-                    for v in range(start, last + 1):
-                        load = occ[v]
-                        if load:
-                            queue = queues[v]
-                            row = queue.pop() if lifo else queue.popleft()
-                            if carry >= 0:
-                                queue.append(carry)
-                            else:
-                                occ[v] = load - 1
-                                if load == threshold:
-                                    num_bad -= 1
-                            carry = row
-                        elif carry >= 0:
-                            queues[v].append(carry)
-                            occ[v] = 1
-                            touch_append(v)
-                            carry = -1
-                elif kind == _LOCAL:
-                    if num_bad == 0:
-                        self._round = rn + 1
-                        continue
-                    # Pass 1: the active set from the pristine loads (the
-                    # r-neighbourhood test must not see this round's moves).
-                    last_bad = -locality - 1
-                    active: List[int] = []
-                    active_append = active.append
-                    for v in range(last + 1):
-                        load = occ[v]
-                        if load >= threshold:
-                            last_bad = v
-                        if load and last_bad >= v - locality:
-                            active_append(v)
-                    # Pass 2: carry transport over the active nodes only.
-                    num_active = len(active)
-                    i = 0
-                    while i < num_active:
-                        v = active[i]
-                        queue = queues[v]
-                        row = queue.pop() if lifo else queue.popleft()
-                        if carry >= 0:
-                            queue.append(carry)
+                forwarded = delivered = 0
+                if stored:
+                    if kind == _PTS:
+                        if prefix_leftmost >= 0:
+                            start = lo
+                        elif num_bad:
+                            start = lo
+                            while occ[start] < threshold:
+                                start += 1
+                        elif work_conserving and not suffix_any_bad:
+                            start = lo
                         else:
-                            load = occ[v] - 1
-                            occ[v] = load
-                            if load == bad_minus:
-                                num_bad -= 1
-                        i += 1
-                        if i < num_active and active[i] == v + 1:
-                            carry = row
-                        else:
-                            receiver = v + 1
-                            if receiver > last:
-                                # Single-destination invariant: last+1 == w.
-                                self._deliver_row(row, rn)
-                                self._delivered += 1
-                                stored -= 1
-                            else:
-                                queues[receiver].append(row)
-                                load = occ[receiver] + 1
-                                occ[receiver] = load
-                                touch_append(receiver)
-                                if load == threshold:
-                                    num_bad += 1
-                            carry = -1
-                elif kind == _DOWNHILL:
-                    for v in range(last + 1):
-                        load = occ[v]
-                        if load:
-                            successor_load = occ[v + 1] if v != last else 0
-                            queue = queues[v]
-                            if load >= successor_load:
+                            start = seg_last + 1  # no bad buffer to drain to
+                        for v in range(start, seg_last + 1):
+                            load = occ[v]
+                            if load:
+                                queue = queues[v]
                                 row = queue.pop() if lifo else queue.popleft()
                                 if carry >= 0:
                                     queue.append(carry)
                                 else:
+                                    forwarded -= v
                                     occ[v] = load - 1
+                                    if load == threshold:
+                                        num_bad -= 1
                                 carry = row
                             elif carry >= 0:
-                                queue.append(carry)
-                                occ[v] = load + 1
-                                touch_append(v)
-                                carry = -1
-                        elif carry >= 0:
-                            queues[v].append(carry)
-                            occ[v] = 1
-                            touch_append(v)
-                            carry = -1
-                else:  # _GREEDY
-                    for v in range(n):
-                        load = occ[v]
-                        if load:
-                            queue = queues[v]
-                            if load == 1:
-                                row = queue.popleft()
-                            else:
-                                best = -1
-                                best_k1 = best_k2 = 0
-                                for r in queue:
-                                    if policy == _POL_FIFO:
-                                        k1 = col_arr[r]
-                                    elif policy == _POL_LIFO:
-                                        k1 = -col_arr[r]
-                                    elif policy == _POL_LIS:
-                                        k1 = col_injr[r]
-                                    elif policy == _POL_SIS:
-                                        k1 = -col_injr[r]
-                                    elif policy == _POL_NTG:
-                                        k1 = col_dst[r] - v
-                                    else:  # _POL_FTG
-                                        k1 = v - col_dst[r]
-                                    k2 = col_pid[r]
-                                    if (
-                                        best < 0
-                                        or k1 < best_k1
-                                        or (k1 == best_k1 and k2 < best_k2)
-                                    ):
-                                        best = r
-                                        best_k1 = k1
-                                        best_k2 = k2
-                                queue.remove(best)
-                                row = best
-                            if carry >= 0:
-                                if col_dst[carry] == v:
-                                    self._deliver_row(carry, rn)
-                                    self._delivered += 1
-                                    stored -= 1
-                                    occ[v] = load - 1
-                                else:
-                                    col_arr[carry] = rn
-                                    queue.append(carry)
-                            else:
-                                occ[v] = load - 1
-                            carry = row
-                        elif carry >= 0:
-                            if col_dst[carry] == v:
-                                self._deliver_row(carry, rn)
-                                self._delivered += 1
-                                stored -= 1
-                            else:
-                                col_arr[carry] = rn
                                 queues[v].append(carry)
                                 occ[v] = 1
                                 touch_append(v)
-                            carry = -1
-                if carry >= 0:
-                    # The trailing carry lands at last+1 == w (single-dest)
-                    # or, for greedy, at the virtual sink n — a delivery in
-                    # either case.
-                    self._deliver_row(carry, rn)
-                    self._delivered += 1
-                    stored -= 1
+                                forwarded += v
+                                carry = -1
+                    elif kind == _LOCAL:
+                        if num_bad or prefix_rightmost >= 0:
+                            # Pass 1: the active set from the pristine loads
+                            # (the r-neighbourhood test must not see this
+                            # round's moves).
+                            last_bad = (
+                                prefix_rightmost
+                                if prefix_rightmost >= 0
+                                else -locality - 1
+                            )
+                            active: List[int] = []
+                            active_append = active.append
+                            for v in range(lo, seg_last + 1):
+                                load = occ[v]
+                                if load >= threshold:
+                                    last_bad = v
+                                if load and last_bad >= v - locality:
+                                    active_append(v)
+                            # Pass 2: carry transport over the active nodes.
+                            num_active = len(active)
+                            i = 0
+                            while i < num_active:
+                                v = active[i]
+                                queue = queues[v]
+                                row = queue.pop() if lifo else queue.popleft()
+                                if carry >= 0:
+                                    queue.append(carry)
+                                else:
+                                    forwarded -= v
+                                    load = occ[v] - 1
+                                    occ[v] = load
+                                    if load == bad_minus:
+                                        num_bad -= 1
+                                i += 1
+                                if i < num_active and active[i] == v + 1:
+                                    carry = row
+                                    continue
+                                receiver = v + 1
+                                if receiver > last:
+                                    # Single-destination invariant: last+1 == w.
+                                    deliver(row, rn)
+                                    delivered += 1
+                                    stored -= 1
+                                elif receiver > hi:
+                                    carry = row  # leaves the segment below
+                                    break
+                                else:
+                                    queues[receiver].append(row)
+                                    load = occ[receiver] + 1
+                                    occ[receiver] = load
+                                    touch_append(receiver)
+                                    if load == threshold:
+                                        num_bad += 1
+                                forwarded += receiver
+                                carry = -1
+                    elif kind == _DOWNHILL:
+                        for v in range(lo, seg_last + 1):
+                            load = occ[v]
+                            if load:
+                                if v != seg_last:
+                                    successor_load = occ[v + 1]
+                                elif ends_line:
+                                    successor_load = 0
+                                else:
+                                    successor_load = right_first_load
+                                queue = queues[v]
+                                if load >= successor_load:
+                                    row = queue.pop() if lifo else queue.popleft()
+                                    if carry >= 0:
+                                        queue.append(carry)
+                                    else:
+                                        forwarded -= v
+                                        occ[v] = load - 1
+                                    carry = row
+                                elif carry >= 0:
+                                    queue.append(carry)
+                                    occ[v] = load + 1
+                                    touch_append(v)
+                                    forwarded += v
+                                    carry = -1
+                            elif carry >= 0:
+                                queues[v].append(carry)
+                                occ[v] = 1
+                                touch_append(v)
+                                forwarded += v
+                                carry = -1
+                    else:  # _GREEDY
+                        for v in range(lo, hi + 1):
+                            load = occ[v]
+                            if load:
+                                queue = queues[v]
+                                if load == 1:
+                                    row = queue.popleft()
+                                else:
+                                    best = -1
+                                    best_k1 = best_k2 = 0
+                                    for r in queue:
+                                        if policy == _POL_FIFO:
+                                            k1 = col_arr[r]
+                                        elif policy == _POL_LIFO:
+                                            k1 = -col_arr[r]
+                                        elif policy == _POL_LIS:
+                                            k1 = col_injr[r]
+                                        elif policy == _POL_SIS:
+                                            k1 = -col_injr[r]
+                                        elif policy == _POL_NTG:
+                                            k1 = col_dst[r] - v
+                                        else:  # _POL_FTG
+                                            k1 = v - col_dst[r]
+                                        k2 = col_pid[r]
+                                        if (
+                                            best < 0
+                                            or k1 < best_k1
+                                            or (k1 == best_k1 and k2 < best_k2)
+                                        ):
+                                            best = r
+                                            best_k1 = k1
+                                            best_k2 = k2
+                                    queue.remove(best)
+                                    row = best
+                                if carry >= 0:
+                                    if col_dst[carry] == v:
+                                        deliver(carry, rn)
+                                        delivered += 1
+                                        stored -= 1
+                                        occ[v] = load - 1
+                                    else:
+                                        col_arr[carry] = rn
+                                        queue.append(carry)
+                                else:
+                                    forwarded -= v
+                                    occ[v] = load - 1
+                                carry = row
+                            elif carry >= 0:
+                                if col_dst[carry] == v:
+                                    deliver(carry, rn)
+                                    delivered += 1
+                                    stored -= 1
+                                else:
+                                    col_arr[carry] = rn
+                                    queues[v].append(carry)
+                                    occ[v] = 1
+                                    touch_append(v)
+                                forwarded += v
+                                carry = -1
+                    if carry >= 0:
+                        # The trailing carry crosses the right edge: a
+                        # delivery at the line's end (last+1 == w, or the
+                        # virtual sink n for greedy) or at a greedy
+                        # destination hi+1, else a hand-off to the neighbour.
+                        forwarded += seg_last + 1
+                        if ends_line or col_dst[carry] == hi + 1:
+                            deliver(carry, rn)
+                            delivered += 1
+                        else:
+                            handoff = (
+                                col_pid[carry],
+                                col_src[carry],
+                                col_dst[carry],
+                                col_injr[carry],
+                                col_arr[carry],
+                            )
+                            packet = row_packet[carry]
+                            if packet is not None:
+                                # Ownership transfers with the row: the right
+                                # neighbour stores the packet (and keeps its
+                                # delivered record).
+                                del self.packets[packet.packet_id]
+                                row_packet[carry] = None
+                            col_dlv[carry] = _SYNCED  # row left this segment
+                        stored -= 1
+                if delivered:
+                    self._delivered += delivered
+                # -- hand-off exchange (segment engines) --------------------
+                if segmented:
+                    block = yield handoff, forwarded, delivered, stored
+                    handoff = None
+                    if block is not None:
+                        # The carry landing at lo after the own scan equals
+                        # the whole-line order: lo pops before it lands in
+                        # both, and the occupancy/bad-count deltas cancel.
+                        pid, src, dst, injr, arr = block
+                        row = len(row_packet)
+                        append_pid(pid)
+                        append_src(src)
+                        append_dst(dst)
+                        append_injr(injr)
+                        append_arr(rn if kind == _GREEDY else arr)
+                        append_dlv(_LIVE)
+                        row_append(None)
+                        queues[lo].append(row)
+                        load = occ[lo] + 1
+                        occ[lo] = load
+                        touch_append(lo)
+                        if tracks_bad and load == threshold:
+                            num_bad += 1
+                        stored += 1
+                        handoff_trace.extend((rn, pid, src, dst, injr, arr))
+                # -- round record -------------------------------------------
+                if record:
+                    max_after = 0
+                    for node in range(lo, hi + 1):
+                        load = occ[node]
+                        if load > max_after:
+                            max_after = load
+                    history_append(
+                        RoundRecord(
+                            round=rn,
+                            injected=injected,
+                            forwarded=forwarded,
+                            delivered=delivered,
+                            max_occupancy=max_before,
+                            max_occupancy_after_forwarding=max_after,
+                            staged=0,
+                            occupancy=occupancy_before if vectors else None,
+                        )
+                    )
                 self._round = rn + 1
         finally:
             self._gmax = gmax
             self._num_bad = num_bad
             self._stored = stored
+        return forwarded
 
     def _deliver_row(self, row: int, round_number: int) -> None:
         """Absorb one row at its destination (latency folds + object parity)."""
@@ -851,78 +995,12 @@ class BatchSimulator(Simulator):
         else:
             self._col_dlv[row] = round_number
 
-    # -- one round on flat state (full-history and drain path) -----------------------
-
-    def _kernel_round(self, round_number: int, *, inject: bool) -> int:
-        if inject:
-            self._inject_round(round_number)
-        occ = self._occ
-        if self.record_history:
-            # Full-history path: the round record needs the whole L^t
-            # snapshot anyway, so fold every node like observe() does.
-            mx = self._mx
-            gmax = self._gmax
-            occupancy_before: Optional[Dict[int, int]] = {}
-            max_before = 0
-            for node in range(self._n):
-                load = occ[node]
-                occupancy_before[node] = load
-                if load > max_before:
-                    max_before = load
-                if load > mx[node]:
-                    mx[node] = load
-                    if load > gmax:
-                        gmax = load
-            self._gmax = gmax
-            del self._touch[:]
-        else:
-            # Delta path: only nodes whose load grew since the previous
-            # measurement (last round's receivers, this round's injection
-            # sites) can set a new maximum.
-            mx = self._mx
-            gmax = self._gmax
-            for node in self._touch:
-                load = occ[node]
-                if load > mx[node]:
-                    mx[node] = load
-                    if load > gmax:
-                        gmax = load
-            self._gmax = gmax
-            del self._touch[:]
-            occupancy_before = None
-            max_before = 0
-
-        forwarded, delivered, injected = self._forward_round(round_number)
-        self._delivered += delivered
-
-        if self.record_history:
-            max_after = 0
-            for node in range(self._n):
-                load = occ[node]
-                if load > max_after:
-                    max_after = load
-            self._history.append(
-                RoundRecord(
-                    round=round_number,
-                    injected=injected if inject else 0,
-                    forwarded=forwarded,
-                    delivered=delivered,
-                    max_occupancy=max_before,
-                    max_occupancy_after_forwarding=max_after,
-                    staged=0,
-                    occupancy=occupancy_before
-                    if self.record_occupancy_vectors
-                    else None,
-                )
-            )
-        self._round = round_number + 1
-        return forwarded
-
-    def _inject_round(self, round_number: int) -> None:
+    def _inject_round(self, round_number: int) -> int:
+        """Materialise one round's injections through the checked object
+        path; returns how many were injected."""
         injections = self.adversary.injections_for_round(round_number)
         if not injections:
-            self._last_injected = 0
-            return
+            return 0
         n = self._n
         max_dest = self._max_dest
         check_routes = not self._routes_prevalidated
@@ -950,7 +1028,6 @@ class BatchSimulator(Simulator):
                 packet_store.append_injection(injection)
             created.append((injection, packet))
         self._injected += len(created)
-        self._last_injected = len(created)
         # Acceptance + classification (the on_inject step), one packet at a
         # time so a rejected destination leaves exactly the object engine's
         # partial state behind.
@@ -992,138 +1069,4 @@ class BatchSimulator(Simulator):
             touch.append(source)
             if load == bad_threshold:
                 self._num_bad += 1
-
-    def _forward_round(self, round_number: int) -> Tuple[int, int, int]:
-        """Selection + simultaneous forwarding; returns (forwarded,
-        delivered, injected-this-round)."""
-        injected = self._last_injected
-        kind = self._kind
-        occ = self._occ
-        last = self._last
-        active: List[int]
-        chosen_rows: Optional[List[int]] = None
-        if kind == _PTS:
-            if self._num_bad == 0:
-                if not self._work_conserving:
-                    return 0, 0, injected
-                start = 0
-            else:
-                start = 0
-                while occ[start] < 2:
-                    start += 1
-            active = [v for v in range(start, last + 1) if occ[v]]
-        elif kind == _LOCAL:
-            if self._num_bad == 0:
-                return 0, 0, injected
-            locality = self._locality
-            threshold = self._bad_threshold
-            last_bad = -(locality + 1)
-            active = []
-            for v in range(last + 1):
-                load = occ[v]
-                if load >= threshold:
-                    last_bad = v
-                if load and last_bad >= v - locality:
-                    active.append(v)
-        elif kind == _DOWNHILL:
-            active = []
-            for v in range(last + 1):
-                load = occ[v]
-                if load == 0:
-                    continue
-                successor_load = occ[v + 1] if v != last else 0
-                if load >= successor_load:
-                    active.append(v)
-        else:  # _GREEDY
-            active = []
-            chosen_rows = []
-            queues = self._queues
-            policy = self._policy_code
-            pid = self._col_pid
-            injr = self._col_injr
-            arr = self._col_arr
-            dst = self._col_dst
-            for v in range(self._n):
-                queue = queues[v]
-                if not queue:
-                    continue
-                best_row = -1
-                best_k1 = 0
-                best_k2 = 0
-                for row in queue:
-                    if policy == _POL_FIFO:
-                        k1 = arr[row]
-                    elif policy == _POL_LIFO:
-                        k1 = -arr[row]
-                    elif policy == _POL_LIS:
-                        k1 = injr[row]
-                    elif policy == _POL_SIS:
-                        k1 = -injr[row]
-                    elif policy == _POL_NTG:
-                        k1 = dst[row] - v
-                    else:  # _POL_FTG
-                        k1 = v - dst[row]
-                    k2 = pid[row]
-                    if (
-                        best_row < 0
-                        or k1 < best_k1
-                        or (k1 == best_k1 and k2 < best_k2)
-                    ):
-                        best_row = row
-                        best_k1 = k1
-                        best_k2 = k2
-                active.append(v)
-                chosen_rows.append(best_row)
-
-        if not active:
-            return 0, 0, injected
-
-        # Pop every activated packet first, then place them — a packet never
-        # crosses two edges in one round.
-        queues = self._queues
-        bad_minus = self._bad_threshold - 1
-        moves: List[Tuple[int, int]] = []
-        if chosen_rows is not None:
-            for v, row in zip(active, chosen_rows):
-                queues[v].remove(row)
-                moves.append((row, v + 1))
-                load = occ[v] - 1
-                occ[v] = load
-                if load == bad_minus:
-                    self._num_bad -= 1
-        else:
-            lifo = self._lifo
-            for v in active:
-                queue = queues[v]
-                row = queue.pop() if lifo else queue.popleft()
-                moves.append((row, v + 1))
-                load = occ[v] - 1
-                occ[v] = load
-                if load == bad_minus:
-                    self._num_bad -= 1
-
-        delivered = 0
-        dst = self._col_dst
-        arr = self._col_arr
-        touch = self._touch
-        greedy = kind == _GREEDY
-        bad_threshold = self._bad_threshold
-        for row, receiver in moves:
-            if receiver == dst[row]:
-                self._deliver_row(row, round_number)
-                delivered += 1
-                self._stored -= 1
-            else:
-                if greedy:
-                    arr[row] = round_number
-                queues[receiver].append(row)
-                load = occ[receiver] + 1
-                occ[receiver] = load
-                touch.append(receiver)
-                if load == bad_threshold:
-                    self._num_bad += 1
-        return len(moves), delivered, injected
-
-    #: Injections materialised by the current round (consumed by
-    #: :meth:`_forward_round` for the round record).
-    _last_injected = 0
+        return len(created)

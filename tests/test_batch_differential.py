@@ -7,7 +7,7 @@ Every scenario here runs twice from identical seeds — once on
 records), the retained packet table (insertion order and every field), and
 the streamed injection log.  The matrix covers the whole vectorized family
 ({PTS, local, downhill, greedy} x {trickle, bounded, explicit} x three
-history modes) on both kernel backends, plus the edges that historically
+history modes), plus the edges that historically
 break lockstep engines: round-0 injections, drain tails, the minimal line,
 and the error paths (invalid routes, wrong destinations).
 """
@@ -39,8 +39,6 @@ from repro.network.topology import LineTopology
 N = 16
 ROUNDS = 150
 SEED = 23
-
-BACKENDS = ("numpy", "python")
 
 
 # -- scenario construction ---------------------------------------------------------
@@ -152,20 +150,20 @@ def _run_delta(make, sim_kwargs, run_kwargs):
     return simulator, result
 
 
-def _run_batch(make, backend, sim_kwargs, run_kwargs, batch_rounds=64):
+def _run_batch(make, sim_kwargs, run_kwargs, batch_rounds=64):
     with packet_id_scope():
         simulator = BatchSimulator(
-            *make(), backend=backend, batch_rounds=batch_rounds, **sim_kwargs
+            *make(), batch_rounds=batch_rounds, **sim_kwargs
         )
         result = simulator.run(**run_kwargs)
     return simulator, result
 
 
-def _assert_identical(make, backend, sim_kwargs=None, run_kwargs=None, **batch_opts):
+def _assert_identical(make, sim_kwargs=None, run_kwargs=None, **batch_opts):
     sim_kwargs = dict(sim_kwargs or {})
     run_kwargs = dict(run_kwargs or {})
     oracle_sim, oracle = _run_delta(make, sim_kwargs, run_kwargs)
-    batch_sim, result = _run_batch(make, backend, sim_kwargs, run_kwargs, **batch_opts)
+    batch_sim, result = _run_batch(make, sim_kwargs, run_kwargs, **batch_opts)
     assert result == oracle
     assert _packet_table(batch_sim) == _packet_table(oracle_sim)
     assert _stream_log(batch_sim) == _stream_log(oracle_sim)
@@ -175,11 +173,10 @@ def _assert_identical(make, backend, sim_kwargs=None, run_kwargs=None, **batch_o
 # -- the full matrix ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("history", sorted(HISTORY_MODES))
 @pytest.mark.parametrize("adversary", ("trickle", "bounded", "explicit"))
 @pytest.mark.parametrize("algorithm", ("pts", "local", "downhill", "greedy"))
-def test_matrix_bit_identical(algorithm, adversary, history, backend):
+def test_matrix_bit_identical(algorithm, adversary, history):
     def make():
         topology = _make_topology(algorithm, adversary=adversary)
         return (
@@ -188,18 +185,15 @@ def test_matrix_bit_identical(algorithm, adversary, history, backend):
             _make_adversary(adversary, algorithm, topology),
         )
 
-    result = _assert_identical(
-        make, backend, sim_kwargs=HISTORY_MODES[history]
-    )
+    result = _assert_identical(make, sim_kwargs=HISTORY_MODES[history])
     assert result.packets_injected > 0
 
 
 # -- edges -------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("algorithm", ("pts", "local", "downhill", "greedy"))
-def test_minimal_line(algorithm, backend):
+def test_minimal_line(algorithm):
     """n=2 — the smallest LineTopology — with a round-0 burst."""
 
     def make():
@@ -215,12 +209,11 @@ def test_minimal_line(algorithm, backend):
         )
         return topology, _make_algorithm(algorithm, topology), adversary
 
-    _assert_identical(make, backend)
+    _assert_identical(make)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("algorithm", ("pts", "local", "downhill", "greedy"))
-def test_no_drain_leaves_identical_flight_state(algorithm, backend):
+def test_no_drain_leaves_identical_flight_state(algorithm):
     """drain=False: undelivered packets, locations and counters must agree."""
 
     def make():
@@ -231,12 +224,11 @@ def test_no_drain_leaves_identical_flight_state(algorithm, backend):
             _make_adversary("trickle", algorithm, topology),
         )
 
-    result = _assert_identical(make, backend, run_kwargs={"drain": False})
+    result = _assert_identical(make, run_kwargs={"drain": False})
     assert result.packets_undelivered > 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_empty_pattern(backend):
+def test_empty_pattern():
     def make():
         topology = LineTopology(N)
         adversary = build_explicit_adversary(
@@ -244,13 +236,12 @@ def test_empty_pattern(backend):
         )
         return topology, PeakToSink(topology), adversary
 
-    result = _assert_identical(make, backend)
+    result = _assert_identical(make)
     assert result.packets_injected == 0
     assert result.drained
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_window_size_does_not_change_results(backend):
+def test_batch_window_size_does_not_change_results():
     def make():
         topology = _make_topology("pts")
         return (
@@ -259,16 +250,15 @@ def test_batch_window_size_does_not_change_results(backend):
             _make_adversary("trickle", "pts", topology),
         )
 
-    baseline = _run_batch(make, backend, {}, {}, batch_rounds=64)[1]
+    baseline = _run_batch(make, {}, {}, batch_rounds=64)[1]
     for batch_rounds in (1, 7, 1024):
         assert (
-            _run_batch(make, backend, {}, {}, batch_rounds=batch_rounds)[1]
+            _run_batch(make, {}, {}, batch_rounds=batch_rounds)[1]
             == baseline
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_variant_knobs(backend):
+def test_variant_knobs():
     """Work-conserving PTS, FIFO PTS, threshold-1 local, locality-0 local."""
 
     def pts_wc():
@@ -296,19 +286,18 @@ def test_variant_knobs(backend):
         return topology, algorithm, _make_adversary("trickle", "local", topology)
 
     for make in (pts_wc, pts_fifo, local_t1, local_r0):
-        _assert_identical(make, backend)
+        _assert_identical(make)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("policy", sorted(ALL_POLICIES, key=lambda p: p.name),
                          ids=lambda p: p.name)
-def test_greedy_policies(policy, backend):
+def test_greedy_policies(policy):
     def make():
         topology = LineTopology(N, allow_virtual_sink=True)
         algorithm = GreedyForwarding(topology, policy)
         return topology, algorithm, _make_adversary("trickle", "greedy", topology)
 
-    _assert_identical(make, backend)
+    _assert_identical(make)
 
 
 # -- error-path parity -------------------------------------------------------------
@@ -321,7 +310,7 @@ def _raises_identically(make, exc_type, run_kwargs=None):
         with pytest.raises(exc_type) as delta_error:
             oracle.run(**run_kwargs)
     with packet_id_scope():
-        batch = BatchSimulator(*make(), backend="python")
+        batch = BatchSimulator(*make())
         with pytest.raises(exc_type) as batch_error:
             batch.run(**run_kwargs)
     assert str(batch_error.value) == str(delta_error.value)

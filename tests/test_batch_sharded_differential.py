@@ -224,6 +224,79 @@ def test_stitched_checkpoint_matches_single_process(history, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Pinned boundary cases: facts that only the other segment can supply
+# ---------------------------------------------------------------------------
+
+#: shards=2 splits the 16-node line into [0, 7] | [8, 15].  Each schedule
+#: puts the decisive load at the split, so a segment that ignored the
+#: neighbour's boundary fact would forward (or idle) differently in round 0.
+PINNED_BOUNDARY = {
+    # Bad buffer at 7, within locality 2 of node 8; the right segment holds
+    # a packet but no bad buffer, so its idle shortcut must see the prefix.
+    "local_prefix_bad": (
+        ("local", {"locality": 2}),
+        [(0, 7, N - 1), (0, 7, N - 1), (0, 8, N - 1), (2, 9, N - 1)],
+    ),
+    # Work-conserving PTS: the only bad buffer is node 10, so the loaded but
+    # bad-free left segment must idle on the suffix fact.
+    "pts_wc_suffix_bad": (
+        ("pts", {"work_conserving": True}),
+        [(0, 3, N - 1), (0, 10, N - 1), (0, 10, N - 1), (3, 5, N - 1)],
+    ),
+    # Downhill: edge node 7 (load 1) faces node 8 (load 2) and must hold;
+    # two rounds later equal loads (2 vs 2) let it forward.
+    "downhill_right_load": (
+        ("downhill", {}),
+        [(0, 7, N - 1), (0, 8, N - 1), (0, 8, N - 1),
+         (2, 7, N - 1), (2, 7, N - 1), (2, 8, N - 1)],
+    ),
+}
+
+
+def _pinned_spec(case: str, engine: str, path: str) -> ScenarioSpec:
+    (name, algo_params), routes = PINNED_BOUNDARY[case]
+    horizon = max(r for r, _s, _d in routes) + 1
+    scenario = Scenario.line(N).algorithm(name, **algo_params)
+    scenario.adversary("explicit", rho=1.0, sigma=4.0, rounds=horizon,
+                       routes=[list(route) for route in routes])
+    # The one checkpoint cut lands on the horizon, before the drain, while
+    # packets are still in flight on both sides of the split.
+    scenario.policy(seed=5, engine=engine, batch_rounds=BATCH_ROUNDS,
+                    checkpoint_every=horizon, checkpoint_path=path)
+    return scenario.build()
+
+
+def _packet_table(path: str):
+    checkpoint = load_checkpoint(path)
+    return {
+        name: checkpoint.sections[name]
+        for name in checkpoint.sections
+        if name.startswith("packets/")
+    }
+
+
+@pytest.mark.parametrize("transport,shm", [("local", None),
+                                           ("processes", True)])
+@pytest.mark.parametrize("case", sorted(PINNED_BOUNDARY))
+def test_pinned_boundary_cases(case, transport, shm, tmp_path):
+    """shards=2 batch on a decisive boundary == the shards=1 delta run:
+    result record and the packet table at the horizon cut."""
+    single_path = str(tmp_path / "single.ckpt")
+    sharded_path = str(tmp_path / "sharded.ckpt")
+    baseline = Session().run(_pinned_spec(case, "delta", single_path)).result
+    sharded, extras = run_sharded(
+        _pinned_spec(case, "batch", sharded_path), shards=2,
+        transport=transport, shm=shm,
+    )
+    assert sharded == baseline
+    assert extras["engine"]["selected"] == "batch"
+    assert extras["engine"]["transport"] == ("shm" if shm else transport)
+    table = _packet_table(single_path)
+    assert table
+    assert _packet_table(sharded_path) == table
+
+
+# ---------------------------------------------------------------------------
 # Injected worker crash mid-window
 # ---------------------------------------------------------------------------
 
