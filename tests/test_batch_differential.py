@@ -7,7 +7,7 @@ Every scenario here runs twice from identical seeds — once on
 records), the retained packet table (insertion order and every field), and
 the streamed injection log.  The matrix covers the whole vectorized family
 ({PTS, local, downhill, greedy} x {trickle, bounded, explicit} x three
-history modes), plus the edges that historically
+history modes) at two window sizes, plus the edges that historically
 break lockstep engines: round-0 injections, drain tails, the minimal line,
 and the error paths (invalid routes, wrong destinations).
 """
@@ -106,6 +106,10 @@ def _make_adversary(kind, name, topology, rounds=ROUNDS, seed=SEED):
     )
 
 
+# A multi-round window that does not divide ROUNDS, and the one-round window
+# that loads and stores the kernel state around every single round.
+WINDOWS = (64, 1)
+
 HISTORY_MODES = {
     "summary": {},
     "full": {"record_history": True, "record_occupancy_vectors": True},
@@ -173,10 +177,11 @@ def _assert_identical(make, sim_kwargs=None, run_kwargs=None, **batch_opts):
 # -- the full matrix ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("batch_rounds", WINDOWS)
 @pytest.mark.parametrize("history", sorted(HISTORY_MODES))
 @pytest.mark.parametrize("adversary", ("trickle", "bounded", "explicit"))
 @pytest.mark.parametrize("algorithm", ("pts", "local", "downhill", "greedy"))
-def test_matrix_bit_identical(algorithm, adversary, history):
+def test_matrix_bit_identical(algorithm, adversary, history, batch_rounds):
     def make():
         topology = _make_topology(algorithm, adversary=adversary)
         return (
@@ -185,15 +190,18 @@ def test_matrix_bit_identical(algorithm, adversary, history):
             _make_adversary(adversary, algorithm, topology),
         )
 
-    result = _assert_identical(make, sim_kwargs=HISTORY_MODES[history])
+    result = _assert_identical(
+        make, sim_kwargs=HISTORY_MODES[history], batch_rounds=batch_rounds
+    )
     assert result.packets_injected > 0
 
 
 # -- edges -------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("batch_rounds", WINDOWS)
 @pytest.mark.parametrize("algorithm", ("pts", "local", "downhill", "greedy"))
-def test_minimal_line(algorithm):
+def test_minimal_line(algorithm, batch_rounds):
     """n=2 — the smallest LineTopology — with a round-0 burst."""
 
     def make():
@@ -209,11 +217,12 @@ def test_minimal_line(algorithm):
         )
         return topology, _make_algorithm(algorithm, topology), adversary
 
-    _assert_identical(make)
+    _assert_identical(make, batch_rounds=batch_rounds)
 
 
+@pytest.mark.parametrize("batch_rounds", WINDOWS)
 @pytest.mark.parametrize("algorithm", ("pts", "local", "downhill", "greedy"))
-def test_no_drain_leaves_identical_flight_state(algorithm):
+def test_no_drain_leaves_identical_flight_state(algorithm, batch_rounds):
     """drain=False: undelivered packets, locations and counters must agree."""
 
     def make():
@@ -224,11 +233,14 @@ def test_no_drain_leaves_identical_flight_state(algorithm):
             _make_adversary("trickle", algorithm, topology),
         )
 
-    result = _assert_identical(make, run_kwargs={"drain": False})
+    result = _assert_identical(
+        make, run_kwargs={"drain": False}, batch_rounds=batch_rounds
+    )
     assert result.packets_undelivered > 0
 
 
-def test_empty_pattern():
+@pytest.mark.parametrize("batch_rounds", WINDOWS)
+def test_empty_pattern(batch_rounds):
     def make():
         topology = LineTopology(N)
         adversary = build_explicit_adversary(
@@ -236,12 +248,13 @@ def test_empty_pattern():
         )
         return topology, PeakToSink(topology), adversary
 
-    result = _assert_identical(make)
+    result = _assert_identical(make, batch_rounds=batch_rounds)
     assert result.packets_injected == 0
     assert result.drained
 
 
-def test_batch_window_size_does_not_change_results():
+@pytest.mark.parametrize("history", sorted(HISTORY_MODES))
+def test_batch_window_size_does_not_change_results(history):
     def make():
         topology = _make_topology("pts")
         return (
@@ -250,15 +263,19 @@ def test_batch_window_size_does_not_change_results():
             _make_adversary("trickle", "pts", topology),
         )
 
-    baseline = _run_batch(make, {}, {}, batch_rounds=64)[1]
+    sim_kwargs = HISTORY_MODES[history]
+    baseline_sim, baseline = _run_batch(make, sim_kwargs, {}, batch_rounds=64)
     for batch_rounds in (1, 7, 1024):
-        assert (
-            _run_batch(make, {}, {}, batch_rounds=batch_rounds)[1]
-            == baseline
+        simulator, result = _run_batch(
+            make, sim_kwargs, {}, batch_rounds=batch_rounds
         )
+        assert result == baseline
+        assert _packet_table(simulator) == _packet_table(baseline_sim)
+        assert _stream_log(simulator) == _stream_log(baseline_sim)
 
 
-def test_variant_knobs():
+@pytest.mark.parametrize("batch_rounds", WINDOWS)
+def test_variant_knobs(batch_rounds):
     """Work-conserving PTS, FIFO PTS, threshold-1 local, locality-0 local."""
 
     def pts_wc():
@@ -286,18 +303,19 @@ def test_variant_knobs():
         return topology, algorithm, _make_adversary("trickle", "local", topology)
 
     for make in (pts_wc, pts_fifo, local_t1, local_r0):
-        _assert_identical(make)
+        _assert_identical(make, batch_rounds=batch_rounds)
 
 
+@pytest.mark.parametrize("batch_rounds", WINDOWS)
 @pytest.mark.parametrize("policy", sorted(ALL_POLICIES, key=lambda p: p.name),
                          ids=lambda p: p.name)
-def test_greedy_policies(policy):
+def test_greedy_policies(policy, batch_rounds):
     def make():
         topology = LineTopology(N, allow_virtual_sink=True)
         algorithm = GreedyForwarding(topology, policy)
         return topology, algorithm, _make_adversary("trickle", "greedy", topology)
 
-    _assert_identical(make)
+    _assert_identical(make, batch_rounds=batch_rounds)
 
 
 # -- error-path parity -------------------------------------------------------------
