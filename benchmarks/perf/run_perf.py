@@ -973,7 +973,7 @@ def run_smoke_batch_shards(limit_mb: float, nodes: int = 100_000,
     segment workers, one injected crash mid-window, bit-identical finish.
 
     Runs the greedy/trickle streaming workload with ``engine="batch"``
-    (window mode over shared-memory rings where the host supports it), then
+    (k-round windows over fork-inherited shared rings), then
     repeats it with a ``crash`` fault landing *inside* a window — not on a
     checkpoint cut — so recovery has to rewind to the previous cut and
     re-run the torn window.  Gates: exactly one restart, a recovered result

@@ -77,8 +77,9 @@ class RunReport:
     #: Engine-routing telemetry: which engine the policy requested
     #: (``"delta"``/``"batch"``/``"auto"``), which one actually ran, the
     #: refusal message when ``"auto"`` fell back to the object engine, and —
-    #: for sharded runs — which boundary transport carried the supersteps
-    #: (``"shm"``, ``"processes"`` or ``"local"``).  Engines are bit-identical
+    #: for sharded runs — which transport carried the rounds: ``"shm"`` for
+    #: batch windows on worker processes, otherwise the transport name
+    #: (``"processes"`` or ``"local"``).  Engines are bit-identical
     #: by construction, so this exists purely to make silent fallbacks
     #: diagnosable; surfaced in the CLI's ``--json`` rows.
     engine: Optional[Dict[str, Any]] = None

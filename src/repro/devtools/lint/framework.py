@@ -165,6 +165,9 @@ class LintConfig:
         # The batch forwarding loop: its two exchange points order the
         # boundary view and hand-off (repro/network/batch.py).
         "_segment_rounds",
+        # The batch×shards window driver: it orders the two boundary lanes
+        # within each round (repro/network/batch_sharded.py).
+        "run_window",
     )
     #: Modules allowed to call ``print`` (user-facing surfaces).
     print_allowed_modules: Tuple[str, ...] = (

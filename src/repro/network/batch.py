@@ -559,8 +559,9 @@ class BatchSimulator(Simulator):
         exactly.  A segment engine (``_segmented``) trades those facts at two
         points per round:
 
-        * after the fold it yields its boundary view (the relay payload's
-          ``view`` dict) and is sent ``(prefix_leftmost, prefix_rightmost,
+        * after the fold it yields its boundary view (a dict of its
+          ``leftmost_bad``, ``rightmost_bad``, ``any_bad`` and
+          ``first_load``) and is sent ``(prefix_leftmost, prefix_rightmost,
           suffix_any_bad, right_first_load)``;
         * after the scan it yields ``(handoff, forwarded, delivered,
           stored)`` — ``handoff`` is the 5-word row leaving over the right

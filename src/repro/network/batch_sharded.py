@@ -12,19 +12,13 @@ most one row crosses each segment edge each round).
 The rounds themselves run in :meth:`BatchSimulator._segment_rounds`, the one
 forwarding loop every batch engine uses; it yields at its two exchange
 points (view out / prefix-suffix facts in, hand-off out / block in).  This
-module adds two drivers of that loop:
-
-* **relay** — the classic three-phase superstep
-  (:meth:`begin_round` / :meth:`select_round` / :meth:`finish_round`) with
-  payload shapes identical to :class:`~repro.network.sharded.SegmentSimulator`,
-  so the existing coordinator and both transports drive it unchanged.  This
-  is the portable fallback and what the ``"local"`` transport uses.
-* **window** — :meth:`run_window` free-runs ``k`` rounds, exchanging
-  the per-round boundary facts directly with neighbour workers through
-  :class:`~repro.network.shm.BoundaryRing` shared-memory rings instead of
-  coordinator pipes.  Rounds pipeline along the line as a wavefront: worker
-  ``i`` can be scanning round ``t`` while worker ``i+1`` is still finishing
-  ``t-1`` — there is no global barrier inside a window.
+module drives that loop one way on every transport: :meth:`run_window`
+free-runs ``k`` rounds, exchanging the per-round boundary facts directly
+with the neighbour workers through
+:class:`~repro.network.shm.BoundaryRing` shared-memory rings instead of
+coordinator messages.  Rounds pipeline along the line as a wavefront: worker
+``i`` can be scanning round ``t`` while worker ``i+1`` is still finishing
+``t-1`` — there is no global barrier inside a window.
 
 Equivalence to the single-process fused scan (the differential suite in
 ``tests/test_batch_sharded_differential.py`` proves it bit for bit):
@@ -47,11 +41,12 @@ Equivalence to the single-process fused scan (the differential suite in
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Generator, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, Mapping, Optional, Sequence, Tuple
 
 from ..adversary.segmented import SegmentFilteredAdversary
 from .batch import _DOWNHILL, _PTS, BatchSimulator
-from .errors import ShardingProtocolError
+from .errors import ShardingProtocolError, UnbatchableScenarioError
+from .shm import BoundaryRing
 
 __all__ = ["BatchSegmentSimulator", "HANDOFF_WORDS"]
 
@@ -75,8 +70,16 @@ class BatchSegmentSimulator(BatchSimulator):
     bound parameters as the single-process engines) with a
     :class:`~repro.adversary.segmented.SegmentFilteredAdversary`, exactly
     like :class:`~repro.network.sharded.SegmentSimulator`; only nodes in
-    ``[lo, hi]`` ever hold rows.  The round loop is driven externally —
-    through the superstep phases or through :meth:`run_window`.
+    ``[lo, hi]`` ever hold rows.  The round loop is driven externally,
+    through :meth:`run_window`.
+
+    ``rings`` maps this worker's boundary lanes (``left_in``/``right_out``
+    left-to-right, ``right_in``/``left_out`` right-to-left) to the
+    :class:`~repro.network.shm.BoundaryRing` objects the coordinator made
+    before starting the workers.  A multi-segment plan with no rings — a
+    worker process on a platform without ``fork`` cannot inherit them — is
+    refused with :class:`UnbatchableScenarioError`, so ``engine="auto"``
+    falls back to the object engine with that reason.
     """
 
     __slots__ = ()
@@ -90,14 +93,20 @@ class BatchSegmentSimulator(BatchSimulator):
         adversary,
         segment_index: int,
         segments: Sequence[Tuple[int, int]],
+        rings: Optional[Mapping[str, BoundaryRing]] = None,
         **batch_kwargs,
     ) -> None:
         super().__init__(topology, algorithm, adversary, **batch_kwargs)
+        if rings is None and len(segments) > 1:
+            raise UnbatchableScenarioError(
+                "the batch kernel exchanges boundary facts over shared rings "
+                "that segment workers inherit by fork, and this platform "
+                "cannot fork worker processes"
+            )
         self.segment_index = segment_index
         self.segments = list(segments)
         self.lo, self.hi = self.segments[segment_index]
-        #: The relay round in flight between begin_round and finish_round.
-        self._relay: Optional[Generator[Any, Any, int]] = None
+        self._rings: Mapping[str, BoundaryRing] = rings or {}
         # The segment wrapper hides an eager pattern behind ``.base``:
         # validate the full pattern (the error surface must match the
         # single-process engines exactly), then keep this segment's rows.
@@ -116,18 +125,6 @@ class BatchSegmentSimulator(BatchSimulator):
                 self._fast_rows = filtered
 
     # -- kernel lifecycle ----------------------------------------------------------
-
-    @property
-    def needs_reverse_lane(self) -> bool:
-        """Whether window mode needs the right-to-left boundary lane.
-
-        Downhill decisions read the right neighbour's first load; a
-        work-conserving PTS segment must know whether *any* suffix buffer is
-        bad.  Everything else flows strictly left-to-right.
-        """
-        return self._kind == _DOWNHILL or (
-            self._kind == _PTS and self._work_conserving
-        )
 
     def ensure_kernel(self) -> None:
         """Load the flat kernel from object state exactly once.
@@ -154,54 +151,6 @@ class BatchSegmentSimulator(BatchSimulator):
             while history and history[-1].round >= round_number:
                 history.pop()
 
-    # -- relay: SegmentSimulator-shaped superstep phases ---------------------------
-
-    def begin_round(self, round_number: int, *, inject: bool) -> Dict[str, Any]:
-        self.ensure_kernel()
-        self._relay = self._segment_rounds(
-            round_number, round_number + 1, inject
-        )
-        return {"view": next(self._relay), "staged": 0}
-
-    def select_round(
-        self, round_number: int, views: Sequence[Dict[str, Any]], carry: Any
-    ) -> Dict[str, Any]:
-        index = self.segment_index
-        prefix_leftmost = -1
-        prefix_rightmost = -1
-        for j in range(index):
-            view = views[j]
-            if prefix_leftmost < 0 and view["leftmost_bad"] >= 0:
-                prefix_leftmost = view["leftmost_bad"]
-            if view["rightmost_bad"] >= 0:
-                prefix_rightmost = view["rightmost_bad"]
-        suffix_any_bad = any(
-            views[j]["any_bad"] for j in range(index + 1, len(views))
-        )
-        right_first_load = (
-            views[index + 1]["first_load"]
-            if index + 1 < len(views)
-            else 0
-        )
-        block, forwarded, delivered, _stored = self._relay.send(
-            (prefix_leftmost, prefix_rightmost, suffix_any_bad, right_first_load)
-        )
-        handoff = None if block is None else {"block": array("q", block)}
-        return {
-            "handoff": handoff,
-            "carry": None,
-            "forwarded": forwarded,
-            "delivered": delivered,
-        }
-
-    def finish_round(
-        self, round_number: int, handoff_in: Optional[Dict[str, array]]
-    ) -> Dict[str, Any]:
-        block = tuple(handoff_in["block"]) if handoff_in else None
-        _resume(self._relay, block)
-        self._relay = None
-        return {"pending": self._stored, "staged": 0}
-
     # -- window: free-running rounds over shared-memory rings ----------------------
 
     def run_window(
@@ -210,26 +159,27 @@ class BatchSegmentSimulator(BatchSimulator):
         t1: int,
         *,
         inject: bool,
-        left_in=None,
-        right_out=None,
-        right_in=None,
-        left_out=None,
         faults: Optional[Dict[int, Dict[str, Any]]] = None,
         fault_hook=None,
         ring_timeout: float = 60.0,
     ) -> Dict[str, array]:
         """Free-run rounds ``t0 .. t1-1``, exchanging boundary facts directly.
 
-        ``left_in``/``right_out`` carry the left-to-right lane (merged prefix
-        view + hand-off); ``right_in``/``left_out`` the right-to-left lane
-        (first load / suffix-bad), created only when
-        :attr:`needs_reverse_lane`.  Returns per-round ``forwarded`` counts
-        and the post-round ``stored`` totals, from which the coordinator
-        replays the global drain stop rule exactly.
+        The left-to-right lane carries the merged prefix view and the
+        hand-off; the right-to-left lane carries the facts only some
+        decisions read: downhill's right-neighbour first load and
+        work-conserving PTS's suffix-bad flag.  Returns per-round
+        ``forwarded`` counts and the post-round ``stored`` totals, from which
+        the coordinator replays the global drain stop rule exactly.
         """
         self.ensure_kernel()
-        reverse_lane = self.needs_reverse_lane
+        rings = self._rings
+        left_in = rings.get("left_in")
+        right_out = rings.get("right_out")
+        right_in = rings.get("right_in")
+        left_out = rings.get("left_out")
         chained_suffix = self._kind == _PTS and self._work_conserving
+        reverse_lane = chained_suffix or self._kind == _DOWNHILL
         trace_forwarded = array("q")
         trace_stored = array("q")
         rounds = self._segment_rounds(t0, t1, inject)

@@ -37,9 +37,12 @@ stitches them into a single global checkpoint file
 
 Two transports share all of the above: ``"processes"`` (the default — one OS
 process per segment, talking over pipes; this is what actually buys
-multi-core wall-clock) and ``"local"`` (same workers, same protocol, driven
-in-process — deterministic, fork-free, and what the differential test matrix
-uses).
+multi-core wall-clock) and ``"local"`` (same workers, same protocol, each
+command served on its own thread in-process — fork-free, and what the
+differential test matrix uses).  Batch-engine workers
+(:mod:`repro.network.batch_sharded`) skip the per-round supersteps on both
+transports: they free-run ``batch_rounds``-round windows and trade boundary
+facts through shared rings the coordinator creates before it starts them.
 
 **Supervision and recovery.**  The coordinator doubles as a worker
 supervisor: every phase reply is awaited under ``RunPolicy.heartbeat_timeout``
@@ -66,6 +69,7 @@ import contextvars
 import multiprocessing
 import os
 import pickle
+import threading
 import time
 from array import array
 from collections import deque
@@ -93,7 +97,7 @@ from .errors import (
 )
 from .events import RoundRecord, SimulationResult
 from .faults import FAULT_PHASES, FaultInjector, FaultPlan
-from .shm import BoundaryRing, shared_memory_available
+from .shm import BoundaryRing
 from .simulator import Simulator, default_max_drain_rounds, quiescence_window
 from .topology import LineTopology
 
@@ -139,12 +143,6 @@ class ExecutionPolicy:
     monotonic time source (e.g. ``time.perf_counter``) used only to measure
     ``recovery_time_s`` for the perf harness; the engine itself never reads
     wall-clock time, so results stay deterministic with or without one.
-
-    ``shm`` governs the batch×shards boundary transport: ``None`` (default)
-    probes shared memory and uses it when available, ``True`` requires it
-    (failing loudly instead of silently degrading), ``False`` forces the
-    pickled-pipe relay path.  Block *contents* are transport-independent, so
-    the knob can never change results — only wall-clock.
     """
 
     shards: int = 1
@@ -153,10 +151,13 @@ class ExecutionPolicy:
     max_retries: int = 2
     retry_backoff: float = 0.01
     clock: Optional[Callable[[], float]] = None
-    shm: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.shards, int) or self.shards < 1:
+        if (
+            not isinstance(self.shards, int)
+            or isinstance(self.shards, bool)
+            or self.shards < 1
+        ):
             raise UnshardableScenarioError(
                 f"shards must be an int >= 1, got {self.shards!r}"
             )
@@ -189,15 +190,6 @@ class ExecutionPolicy:
             raise UnshardableScenarioError(
                 f"clock must be None or a zero-argument callable returning "
                 f"seconds, got {self.clock!r}"
-            )
-        if self.shm is not None and not isinstance(self.shm, bool):
-            raise UnshardableScenarioError(
-                f"shm must be None (auto), True or False, got {self.shm!r}"
-            )
-        if self.shm is True and self.transport != "processes":
-            raise UnshardableScenarioError(
-                "shm=True requires transport='processes': the in-process "
-                "driver has no worker boundary to put a ring across"
             )
 
 
@@ -411,7 +403,9 @@ class _SegmentWorker:
     :func:`repro.checkpoint.restore_into` before serving commands — the same
     restore machinery the resume differential suites prove bit-identical.
     The worker must be built inside a fresh packet-id scope for the restore
-    to renumber correctly (both transports guarantee that).
+    to renumber correctly (both transports guarantee that).  ``rings`` are
+    this worker's boundary lanes for a batch engine (``None`` when the
+    coordinator could not share any).
     """
 
     def __init__(
@@ -420,6 +414,7 @@ class _SegmentWorker:
         segment_index: int,
         segments: Sequence[Tuple[int, int]],
         restore_path: Optional[str] = None,
+        rings: Optional[Dict[str, BoundaryRing]] = None,
     ) -> None:
         from ..api.session import Session
         from ..api.specs import ScenarioSpec
@@ -462,6 +457,7 @@ class _SegmentWorker:
                     adversary,
                     segment_index,
                     segments,
+                    rings,
                     batch_rounds=policy.batch_rounds,
                     **engine_kwargs,
                 )
@@ -489,13 +485,9 @@ class _SegmentWorker:
             # Load the flat kernel after any checkpoint restore so it
             # projects the restored object state, not the empty line.
             self.simulator.ensure_kernel()
-        #: Shared-memory boundary rings attached for window mode, keyed as
-        #: in the coordinator's "rings" payload.
-        self._rings: Dict[str, Any] = {}
 
     def init_info(self) -> Dict[str, Any]:
         algorithm = self.simulator.algorithm
-        simulator = self.simulator
         batch = self.engine_selected == "batch"
         return {
             "horizon": self.base_adversary.horizon,
@@ -505,9 +497,6 @@ class _SegmentWorker:
             "algorithm_name": algorithm.name,
             "engine": self.engine_selected,
             "engine_fallback": self.engine_fallback,
-            "needs_reverse_lane": (
-                simulator.needs_reverse_lane if batch else False
-            ),
         }
 
     def dispatch(self, command: str, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -527,10 +516,14 @@ class _SegmentWorker:
                 payload["round"], payload["handoff"]
             )
         if command == "window":
-            return self._run_window(payload)
-        if command == "rings":
-            self._attach_rings(payload["names"])
-            return {"attached": sorted(self._rings)}
+            return self.simulator.run_window(
+                payload["t0"],
+                payload["t1"],
+                inject=payload["inject"],
+                faults=payload.get("faults"),
+                fault_hook=self._window_fault_hook,
+                ring_timeout=payload["ring_timeout"],
+            )
         if command == "truncate":
             self.simulator.truncate_to(payload["round"])
             return {"round": payload["round"]}
@@ -556,37 +549,8 @@ class _SegmentWorker:
         if self.engine_selected == "batch":
             self.simulator.sync_for_snapshot()
 
-    def _attach_rings(self, names: Dict[str, str]) -> None:
-        """Attach the coordinator-created boundary rings this worker uses."""
-        for key, name in names.items():
-            self._rings[key] = BoundaryRing(name=name)
-
-    def _run_window(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Free-run one k-round window over the shared-memory lanes."""
-        rings = self._rings
-        return self.simulator.run_window(
-            payload["t0"],
-            payload["t1"],
-            inject=payload["inject"],
-            left_in=rings.get("left_in"),
-            right_out=rings.get("right_out"),
-            right_in=rings.get("right_in"),
-            left_out=rings.get("left_out"),
-            faults=payload.get("faults"),
-            fault_hook=self._window_fault_hook,
-            ring_timeout=payload.get("ring_timeout", 60.0),
-        )
-
     def _window_fault_hook(self, fault: Dict[str, Any], round_number: int) -> None:
         self._apply_fault(fault, f"round {round_number}")
-
-    def close_rings(self) -> None:
-        for ring in self._rings.values():
-            try:
-                ring.close()
-            except (OSError, BufferError):  # pragma: no cover - best-effort
-                pass
-        self._rings = {}
 
     def _apply_fault(self, fault: Dict[str, Any], command: str) -> None:
         """Act out an injected fault directive shipped with a phase command."""
@@ -642,10 +606,20 @@ class _SegmentWorker:
 
 
 class _LocalHandle:
-    """In-process worker: same protocol, no pipes, per-worker id context."""
+    """In-process worker: same protocol, no pipes, per-worker id context.
+
+    Each command runs on its own thread, so the workers of a batch window
+    trade blocks over their shared rings concurrently, exactly as worker
+    processes do.  A command's thread first joins its predecessor's (the
+    coordinator pipelines windows two deep, as a pipe would queue them), and
+    :meth:`recv` joins it, so no thread outlives a command and a later fork
+    never copies a running one.  Like a worker process, a worker whose
+    command raised is dead: it serves nothing after that.
+    """
 
     def __init__(
-        self, spec_payload, segment_index, segments, restore_path=None
+        self, spec_payload, segment_index, segments, restore_path=None,
+        rings=None,
     ) -> None:
         self.segment_index = segment_index
         self._context = contextvars.copy_context()
@@ -656,41 +630,91 @@ class _LocalHandle:
             # independently, exactly like a worker process would.
             packet_id_scope().__enter__()
             return _SegmentWorker(
-                spec_payload, segment_index, segments, restore_path
+                spec_payload, segment_index, segments, restore_path, rings
             )
 
         self._worker = self._context.run(build)
         self.init_payload = self._worker.init_info()
-        self._reply: Optional[Dict[str, Any]] = None
+        #: Commands sent but not yet received: (thread, outcome) in order.
+        self._inflight: deque = deque()
+        self._failed = False
 
     def send(self, command: str, payload: Dict[str, Any]) -> None:
-        self._reply = self._context.run(self._worker.dispatch, command, payload)
+        previous = self._inflight[-1][0] if self._inflight else None
+        outcome: Dict[str, Any] = {}
+
+        def serve() -> None:
+            if previous is not None:
+                previous.join()
+            if self._failed:
+                outcome["error"] = WorkerFailedError(
+                    f"segment worker {self.segment_index} failed on an "
+                    f"earlier command",
+                    segment=self.segment_index,
+                )
+                return
+            try:
+                outcome["reply"] = self._context.run(
+                    self._worker.dispatch, command, payload
+                )
+            # Like a worker process's pipe, this is the only channel back:
+            # recv() re-raises whatever lands here.
+            except Exception as error:  # repro-lint: disable=RPR006
+                self._failed = True
+                outcome["error"] = error
+
+        thread = threading.Thread(
+            target=serve, name=f"segment-worker-{self.segment_index}",
+            daemon=True,
+        )
+        thread.start()
+        self._inflight.append((thread, outcome))
+
+    def poll(self, timeout: Optional[float]) -> bool:
+        """Whether a reply (or failure) is ready, waiting up to ``timeout``."""
+        if not self._inflight:
+            return True
+        thread = self._inflight[0][0]
+        thread.join(timeout)
+        return not thread.is_alive()
+
+    def alive(self) -> bool:
+        return not self._failed
 
     def recv(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        # ``timeout`` is accepted for handle-interface parity; dispatch ran
-        # synchronously in send(), so an in-process worker can never hang
-        # (injected ``slow`` faults just make send() itself take longer).
-        reply, self._reply = self._reply, None
-        if reply is None:
+        if not self._inflight:
             raise ShardingProtocolError("recv() before send() on local worker")
-        return reply
+        if not self.poll(timeout):
+            raise WorkerFailedError(
+                f"segment worker {self.segment_index} sent no reply within "
+                f"heartbeat_timeout={timeout:g}s; treating it as hung",
+                segment=self.segment_index,
+            )
+        _thread, outcome = self._inflight.popleft()
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["reply"]
 
     def kill(self) -> None:
-        self._worker = None
-        self._reply = None
+        """Wait out the in-flight commands (the coordinator aborts the rings
+        first, so a thread blocked on one ends at once) and drop them."""
+        while self._inflight:
+            self._inflight.popleft()[0].join()
+        self._failed = True
 
     def close(self) -> None:
-        self._worker = None
+        self.kill()
 
 
 def _process_worker_main(
-    connection, spec_payload, segment_index, segments, restore_path=None
+    connection, spec_payload, segment_index, segments, restore_path=None,
+    rings=None,
 ) -> None:
     """Worker-process entry point: build the segment engine, serve commands."""
     try:
         with packet_id_scope():
             worker = _SegmentWorker(
-                spec_payload, segment_index, segments, restore_path
+                spec_payload, segment_index, segments, restore_path, rings
             )
             worker._hard_crash = True
             connection.send(("ok", worker.init_info()))
@@ -701,7 +725,6 @@ def _process_worker_main(
                     return  # coordinator went away
                 command, payload = message
                 if command == "close":
-                    worker.close_rings()
                     return
                 connection.send(("ok", worker.dispatch(command, payload)))
     except BaseException as error:  # noqa: BLE001 - forwarded to coordinator
@@ -731,14 +754,17 @@ class _ProcessHandle:
     """One worker process plus its pipe."""
 
     def __init__(
-        self, context, spec_payload, segment_index, segments, restore_path=None
+        self, context, spec_payload, segment_index, segments, restore_path=None,
+        rings=None,
     ) -> None:
         self.segment_index = segment_index
         self._conn, child_conn = context.Pipe(duplex=True)
+        # Under fork the child inherits ``rings`` (and their shared mappings)
+        # with the process object; they are never pickled.
         self._process = context.Process(
             target=_process_worker_main,
             args=(child_conn, spec_payload, segment_index, segments,
-                  restore_path),
+                  restore_path, rings),
             daemon=True,
         )
         self._process.start()
@@ -754,18 +780,23 @@ class _ProcessHandle:
                 segment=self.segment_index,
             ) from error
 
+    def poll(self, timeout: Optional[float]) -> bool:
+        """Whether a reply (or failure) is ready, waiting up to ``timeout``."""
+        try:
+            return self._conn.poll(timeout)
+        except (OSError, EOFError):
+            # A dead pipe is "ready": let recv() classify the death precisely.
+            return True
+
+    def alive(self) -> bool:
+        return self._process.is_alive()
+
     def recv(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         return self._recv_checked(timeout)
 
     def _recv_checked(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         if timeout is not None:
-            try:
-                ready = self._conn.poll(timeout)
-            except (OSError, EOFError):
-                # A dead pipe is "ready": fall through and let recv() below
-                # classify the death precisely.
-                ready = True
-            if not ready:
+            if not self.poll(timeout):
                 raise WorkerFailedError(
                     f"segment worker {self.segment_index} sent no reply "
                     f"within heartbeat_timeout={timeout:g}s; treating it as "
@@ -834,25 +865,30 @@ class _ProcessHandle:
         return problem
 
 
-def _spawn_workers(transport, spec_payload, segments, restore_paths=None):
-    if restore_paths is None:
-        restore_paths = [None] * len(segments)
+def _can_fork() -> bool:
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _spawn_workers(transport, spec_payload, segments, restore_paths, rings):
     if transport == "local":
         return [
-            _LocalHandle(spec_payload, index, segments, restore_paths[index])
+            _LocalHandle(
+                spec_payload, index, segments, restore_paths[index],
+                rings[index],
+            )
             for index in range(len(segments))
         ]
-    methods = multiprocessing.get_all_start_methods()
     # fork is dramatically cheaper than spawn (no interpreter + import replay
-    # per worker) and the coordinator is single-threaded at spawn time.
-    context = multiprocessing.get_context("fork" if "fork" in methods else None)
+    # per worker), the coordinator is single-threaded at spawn time, and it is
+    # how workers inherit the boundary rings.
+    context = multiprocessing.get_context("fork" if _can_fork() else None)
     handles = []
     try:
         for index in range(len(segments)):
             handles.append(
                 _ProcessHandle(
                     context, spec_payload, index, segments,
-                    restore_paths[index],
+                    restore_paths[index], rings[index],
                 )
             )
     except BaseException:
@@ -902,14 +938,17 @@ class _ShardedCoordinator:
         #: Engine telemetry merged into extras["engine"] (None until workers
         #: report which engine they actually built).
         self._engine_info: Optional[Dict[str, Any]] = None
-        #: Coordinator ends of the shared-memory boundary rings (window mode).
+        #: Every boundary ring of the current attempt (batch engines only).
         self._rings: List[BoundaryRing] = []
-        self._ring_timeout = 60.0
         # -- supervisor configuration ------------------------------------------
         policy = spec.policy
         self._recovery_mode = policy.recovery
         self._max_restarts = policy.max_worker_restarts
         self._heartbeat_timeout = policy.heartbeat_timeout
+        self._ring_timeout = (
+            60.0 if self._heartbeat_timeout is None
+            else max(5.0, self._heartbeat_timeout * 4)
+        )
         self._injector = (
             FaultInjector(execution.faults) if execution.faults else None
         )
@@ -949,9 +988,10 @@ class _ShardedCoordinator:
     def _run_attempt(self) -> Tuple[SimulationResult, Dict[str, Any]]:
         policy = self.spec.policy
         spec_payload = self.spec.to_dict()
+        restore_paths = self._restore_paths or [None] * len(self.segments)
         self.handles = _spawn_workers(
             self.execution.transport, spec_payload, self.segments,
-            self._restore_paths,
+            restore_paths, self._setup_rings(policy),
         )
         infos = [handle.init_payload for handle in self.handles]
         horizon = infos[0]["horizon"]
@@ -973,14 +1013,10 @@ class _ShardedCoordinator:
         }
         self.needs_carry = any(info["needs_carry"] for info in infos)
         num_rounds = policy.rounds if policy.rounds is not None else horizon
-        window_mode = (
-            engine == "batch"
-            and self.execution.transport == "processes"
-            and self.execution.shm is not False
-            and self._setup_rings(infos, policy)
-        )
+        transport = self.execution.transport
         self._engine_info["transport"] = (
-            "shm" if window_mode else self.execution.transport
+            "shm" if engine == "batch" and transport == "processes"
+            else transport
         )
 
         start_round = self._resume_round
@@ -994,7 +1030,7 @@ class _ShardedCoordinator:
             status = self._broadcast("status", {}, start_round)
             pending = sum(reply["pending"] for reply in status)
             staged = sum(reply["staged"] for reply in status)
-        if window_mode:
+        if engine == "batch":
             pending = self._run_windows(start_round, num_rounds, policy, pending)
             drained = (
                 self._drain_windows(num_rounds, pending, policy)
@@ -1035,77 +1071,58 @@ class _ShardedCoordinator:
 
     def _teardown(self) -> None:
         """Recovery-path shutdown: no close handshake — peers of the failed
-        worker may be mid-phase and a handshake could hang on them."""
+        worker may be mid-phase and a handshake could hang on them.  Aborting
+        the rings first makes a peer blocked on one fail at once instead of
+        sleeping out the ring timeout."""
+        for ring in self._rings:
+            ring.abort()
         for handle in self.handles:
             handle.kill()
         self.handles = []
         self._release_rings()
 
-    # -- batch×shards window mode -------------------------------------------------
+    # -- batch×shards windows ----------------------------------------------------
 
     def _release_rings(self) -> None:
         for ring in self._rings:
-            ring.destroy()
+            ring.close()
         self._rings = []
 
-    def _setup_rings(self, infos: List[Dict[str, Any]], policy) -> bool:
-        """Create the boundary rings and ship their names to the workers.
+    def _setup_rings(
+        self, policy
+    ) -> List[Optional[Dict[str, BoundaryRing]]]:
+        """Create this attempt's boundary rings, one lane map per worker.
 
-        Returns ``False`` (degrading to the pipe relay path) when shared
-        memory is unavailable and the policy did not *require* it.  One
-        left-to-right ring per segment boundary; the right-to-left lane only
-        when some algorithm decision reads suffix facts (downhill's
-        neighbour load, work-conserving PTS's any-bad flag).
+        Made before any worker starts, so forked workers inherit them and
+        in-process workers share them.  Each segment boundary gets a
+        left-to-right ring and a right-to-left ring; only algorithms whose
+        decisions read suffix facts (downhill's neighbour load,
+        work-conserving PTS's any-bad flag) touch the second.  Workers get
+        ``None`` when the engine cannot be batch, or when they are processes
+        that could not inherit a mapping (no ``fork``).
         """
-        required = self.execution.shm is True
-        boundaries = len(self.handles) - 1
-        if boundaries > 0 and not required and not shared_memory_available():
-            return False
-        needs_reverse = any(
-            info.get("needs_reverse_lane") for info in infos
-        )
+        count = len(self.segments)
+        if policy.engine not in ("batch", "auto") or not (
+            self.execution.transport == "local" or _can_fork()
+        ):
+            return [None] * count
         # Capacity covers the maximum producer/consumer skew: two outstanding
         # windows of batch_rounds rounds each, one block per round per lane.
         capacity = 2 * policy.batch_rounds + 8
-        forward: List[Optional[BoundaryRing]] = []
-        reverse: List[Optional[BoundaryRing]] = []
-        try:
-            for _ in range(boundaries):
-                forward.append(BoundaryRing(capacity=capacity))
-                reverse.append(
-                    BoundaryRing(capacity=capacity) if needs_reverse else None
-                )
-        except Exception as error:
-            for ring in forward + reverse:
-                if ring is not None:
-                    ring.destroy()
-            if required:
-                raise UnshardableScenarioError(
-                    f"ExecutionPolicy.shm=True but shared memory is "
-                    f"unavailable: {error}"
-                ) from error
-            return False
-        self._rings = [
-            ring for ring in forward + reverse if ring is not None
-        ]
-        self._ring_timeout = (
-            60.0 if self._heartbeat_timeout is None
-            else max(5.0, self._heartbeat_timeout * 4)
-        )
-        for index, handle in enumerate(self.handles):
-            names: Dict[str, str] = {}
+        forward = [BoundaryRing(capacity) for _ in range(count - 1)]
+        reverse = [BoundaryRing(capacity) for _ in range(count - 1)]
+        self._rings = forward + reverse
+        lanes: List[Optional[Dict[str, BoundaryRing]]] = []
+        for index in range(count):
+            lane: Dict[str, BoundaryRing] = {}
             if index > 0:
-                names["left_in"] = forward[index - 1].name
-                if needs_reverse:
-                    names["left_out"] = reverse[index - 1].name
-            if index < boundaries:
-                names["right_out"] = forward[index].name
-                if needs_reverse:
-                    names["right_in"] = reverse[index].name
-            self._send(handle, "rings", {"names": names}, 0)
-        for handle in self.handles:
-            self._recv(handle, "rings", 0)
-        return True
+                lane["left_in"] = forward[index - 1]
+                lane["left_out"] = reverse[index - 1]
+            if index < count - 1:
+                lane["right_out"] = forward[index]
+                lane["right_in"] = reverse[index]
+            lanes.append(lane)
+        return lanes
 
     def _window_faults(
         self, t0: int, t1: int, segment: int
@@ -1136,7 +1153,7 @@ class _ShardedCoordinator:
 
     def _window_drops(self, t0: int, t1: int, segment: int) -> None:
         """Consume drop tokens for the window's phases, with the same bounded
-        retry-with-backoff semantics the per-phase relay path applies."""
+        retry-with-backoff semantics :meth:`_send` applies per phase."""
         if self._injector is None:
             return
         for round_number in range(t0, t1):
@@ -1178,8 +1195,8 @@ class _ShardedCoordinator:
         Workers finish a window in line order but stall on each other's
         rings, so a crashed worker starves its neighbours too.  Receiving in
         fixed order would blame whichever innocent neighbour happens to be
-        polled first; instead sweep all pipes and, when nothing progresses,
-        look for an actually-dead worker process before declaring a hang.
+        polled first; instead sweep all workers and, when nothing progresses,
+        look for an actually-dead worker before declaring a hang.
         """
         count = len(self.handles)
         replies: List[Optional[Dict[str, Any]]] = [None] * count
@@ -1194,27 +1211,20 @@ class _ShardedCoordinator:
             progressed = False
             for index in list(waiting):
                 handle = self.handles[index]
-                connection = getattr(handle, "_conn", None)
-                if connection is not None:
-                    try:
-                        ready = connection.poll(0.02)
-                    except (OSError, EOFError):
-                        ready = True  # dead pipe: let _recv classify it
-                    if not ready:
-                        if budget is not None:
-                            budget -= 0.02
-                        continue
+                if not handle.poll(0.02):
+                    if budget is not None:
+                        budget -= 0.02
+                    continue
                 replies[index] = self._recv(handle, "window", t0)
                 waiting.remove(index)
                 progressed = True
             if progressed or not waiting:
                 continue
             for index in waiting:
-                process = getattr(self.handles[index], "_process", None)
-                if process is not None and not process.is_alive():
+                if not self.handles[index].alive():
                     raise WorkerFailedError(
                         f"segment worker {index} died mid-window at round "
-                        f"{t0} (worker process exited)",
+                        f"{t0}",
                         segment=index,
                         round_number=t0,
                         phase="window",
@@ -1306,7 +1316,7 @@ class _ShardedCoordinator:
         per-round counters; a mid-window stop truncates the workers'
         overshoot, which is provably side-effect-free (module docstring of
         :mod:`repro.network.batch_sharded`).  The batch family never stages
-        packets, so the relay path's ``staged == previous_staged`` clause is
+        packets, so :meth:`_drain`'s ``staged == previous_staged`` clause is
         vacuously true and quiescence degenerates to ``forwarded == 0``.
         """
         max_drain_rounds = policy.max_drain_rounds
@@ -1499,19 +1509,7 @@ class _ShardedCoordinator:
                     )
                 if self.execution.retry_backoff > 0:
                     time.sleep(self.execution.retry_backoff * attempts)
-        try:
-            handle.send(command, payload)
-        except WorkerFailedError as error:
-            # The local transport serves the command synchronously inside
-            # send(), so a failing worker surfaces here rather than in
-            # _recv(); attach the same (segment, round, phase) coordinate.
-            raise WorkerFailedError(
-                f"segment worker {handle.segment_index} failed during "
-                f"{command!r} of round {round_number}: {error}",
-                segment=handle.segment_index,
-                round_number=round_number,
-                phase=command,
-            ) from error
+        handle.send(command, payload)
 
     def _recv(
         self, handle: Any, command: str, round_number: int
@@ -1765,7 +1763,6 @@ def run_sharded(
     transport: str = "processes",
     faults: Optional[FaultPlan] = None,
     clock: Optional[Callable[[], float]] = None,
-    shm: Optional[bool] = None,
 ) -> Tuple[SimulationResult, Dict[str, Any]]:
     """Execute ``spec`` sharded across segment workers.
 
@@ -1790,6 +1787,5 @@ def run_sharded(
         )
     execution = ExecutionPolicy(
         shards=shards, transport=transport, faults=faults, clock=clock,
-        shm=shm,
     )
     return _ShardedCoordinator(spec, execution).run()

@@ -5,46 +5,54 @@ round per direction (the merged prefix/suffix view plus at most one packet
 hand-off — see ``docs/SHARDING.md``).  Pickling those through the coordinator
 pipes costs two hops and a serializer per round; this module gives each
 directed segment boundary its own single-producer/single-consumer ring over
-:class:`multiprocessing.shared_memory.SharedMemory`, so neighbours exchange
+an anonymous shared mapping (``mmap.mmap(-1, size)``), so neighbours exchange
 blocks directly with two int64 counter updates and a 96-byte copy.
+
+The coordinator creates every ring of an attempt *before* it starts the
+workers: forked worker processes inherit the mapping, and in-process worker
+threads share the ring objects by reference.  Nothing is named, so nothing
+can leak past the process tree.
 
 Layout (all little-endian int64 words)::
 
-    [0..7]    tail  — total blocks published (writer-owned, word 0)
-    [8..15]   head  — total blocks consumed (reader-owned, word 8)
+    [0]       tail  — total blocks published (writer-owned)
+    [1]       abort — set once by the coordinator at teardown
+    [8]       head  — total blocks consumed (reader-owned)
     [16..]    data  — ``capacity`` slots of :data:`SLOT_WORDS` words each
 
 The tail and head counters live on separate 64-byte cache lines so the two
 sides never write the same line.  The writer fills slot ``tail % capacity``
 and *then* publishes the new tail; the reader observes the tail, copies the
 slot, and then publishes the new head.  CPython's memoryview stores on an
-int64-aligned buffer are single interpreter operations under the GIL-free
-process boundary, and x86/arm64 total-store ordering makes the
-write-slot-then-bump-tail sequence a safe publication without extra fences.
+int64-aligned buffer are single interpreter operations, and x86/arm64
+total-store ordering makes the write-slot-then-bump-tail sequence a safe
+publication without extra fences.
 
 The ring is a *transport*, never a scheduler: block contents and ordering are
 fully determined by the superstep protocol, so simulation results cannot
-depend on ring timing.  Timeouts exist only for supervision — a vanished
-neighbour surfaces as :class:`~repro.network.errors.WorkerFailedError`, which
-the coordinator's recovery machinery treats exactly like a dead pipe.
+depend on ring timing.  Waits exist only for supervision — a vanished
+neighbour or an aborted ring surfaces as
+:class:`~repro.network.errors.WorkerFailedError`, which the coordinator's
+recovery machinery treats exactly like a dead pipe.
 """
 
 from __future__ import annotations
 
+import mmap
 import time
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import ShardingProtocolError, WorkerFailedError
 
-__all__ = ["SLOT_WORDS", "BoundaryRing", "shared_memory_available"]
+__all__ = ["SLOT_WORDS", "BoundaryRing"]
 
 #: Words per ring slot: round stamp + 3 view words + hand-off flag + 5
 #: hand-off columns, padded to 12 for a 96-byte (1.5 cache line) slot.
 SLOT_WORDS = 12
 
-_SLOT_BYTES = SLOT_WORDS * 8
 _HEADER_WORDS = 16  # two 64-byte cache lines: tail @ word 0, head @ word 8
 _TAIL = 0
+_ABORT = 1
 _HEAD = 8
 
 #: Busy-poll iterations before the waiter starts yielding the CPU.
@@ -56,83 +64,27 @@ _NAP_SECONDS = 0.0005
 _DEFAULT_TIMEOUT = 60.0
 
 
-def shared_memory_available(capacity: int = 4) -> bool:
-    """Probe whether POSIX shared memory actually works on this host.
-
-    Containers occasionally mount ``/dev/shm`` read-only or not at all; the
-    coordinator probes once and falls back to the pickled-pipe relay path
-    when the probe fails, keeping the portable transport the default on
-    exotic hosts.
-    """
-    try:
-        ring = BoundaryRing(capacity=capacity)
-    except (OSError, ValueError, ImportError, ShardingProtocolError):
-        return False
-    try:
-        ring.send_block((0,), timeout=1.0)
-        ok = ring.recv_block(timeout=1.0)[0] == 0
-    except (OSError, ValueError, WorkerFailedError):
-        ok = False
-    finally:
-        ring.destroy()
-    return ok
-
-
 class BoundaryRing:
-    """A SPSC ring of fixed-size int64 blocks in POSIX shared memory.
+    """A SPSC ring of fixed-size int64 blocks in an anonymous shared mapping.
 
-    Exactly one process writes (:meth:`send_block`) and exactly one process
+    Exactly one worker writes (:meth:`send_block`) and exactly one worker
     reads (:meth:`recv_block`); the coordinator creates one ring per directed
-    segment boundary and hands each end to its owning worker by name.
+    segment boundary and hands each end to its owning worker at start-up.
     """
 
-    __slots__ = ("_shm", "_words", "_capacity", "_owner", "_closed")
+    __slots__ = ("_map", "_words", "_capacity")
 
-    def __init__(
-        self, name: Optional[str] = None, capacity: int = 256
-    ) -> None:
-        from multiprocessing import shared_memory
-
-        if name is None:
-            if capacity < 2:
-                raise ShardingProtocolError(
-                    f"ring capacity must be at least 2 slots, got {capacity}"
-                )
-            size = (_HEADER_WORDS + capacity * SLOT_WORDS) * 8
-            self._shm = shared_memory.SharedMemory(create=True, size=size)
-            self._owner = True
-        else:
-            # CPython < 3.13 has no track=False: attaching would re-register
-            # the segment with the attacher's resource tracker, which then
-            # tries to unlink it at process exit (the coordinator owns ring
-            # lifetime) and warns about the already-unlinked name.  Suppress
-            # registration for the attach only; the creator's registration
-            # is untouched and unlink() retires it.
-            from multiprocessing import resource_tracker
-
-            original_register = resource_tracker.register
-            resource_tracker.register = lambda *args, **kwargs: None
-            try:
-                self._shm = shared_memory.SharedMemory(name=name)
-            finally:
-                resource_tracker.register = original_register
-            self._owner = False
-        self._words = memoryview(self._shm.buf).cast("q")
-        if self._owner:
-            self._words[_TAIL] = 0
-            self._words[_HEAD] = 0
-            self._capacity = capacity
-        else:
-            self._capacity = (len(self._words) - _HEADER_WORDS) // SLOT_WORDS
-        self._closed = False
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
+    def __init__(self, capacity: int = 256) -> None:
+        if capacity < 2:
+            raise ShardingProtocolError(
+                f"ring capacity must be at least 2 slots, got {capacity}"
+            )
+        # Anonymous mappings are MAP_SHARED and zero-filled: tail, head and
+        # the abort word all start at 0, and a forked child writes the same
+        # pages its parent reads.
+        self._map = mmap.mmap(-1, (_HEADER_WORDS + capacity * SLOT_WORDS) * 8)
+        self._words = memoryview(self._map).cast("q")
+        self._capacity = capacity
 
     def send_block(
         self, words: Sequence[int], timeout: float = _DEFAULT_TIMEOUT
@@ -172,6 +124,10 @@ class BoundaryRing:
         view[_HEAD] = head + 1
         return block
 
+    def abort(self) -> None:
+        """Make every current and future wait on this ring fail at once."""
+        self._words[_ABORT] = 1
+
     def _wait(self, ready, timeout: float, what: str) -> None:
         # Clock-free supervision: the budget is decremented by the nominal
         # nap length, so the effective timeout is a floor on slept wall-clock
@@ -179,9 +135,15 @@ class BoundaryRing:
         # timeout only exists to surface a vanished neighbour — and avoiding
         # a wall-clock source keeps the engine's determinism lint scope
         # (RPR001) meaningful for this module.
+        view = self._words
         spins = 0
         remaining = timeout
         while not ready():
+            if view[_ABORT]:
+                raise WorkerFailedError(
+                    f"shared-memory hand-off aborted: the coordinator is "
+                    f"tearing the workers down ({what})"
+                )
             spins += 1
             if spins <= _SPIN_FAST:
                 continue
@@ -197,26 +159,7 @@ class BoundaryRing:
                 )
 
     def close(self) -> None:
-        """Release this process's mapping (the segment itself survives)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._words.release()
-        self._shm.close()
-
-    def destroy(self) -> None:
-        """Close and, if this end created the ring, unlink the segment.
-
-        ``unlink()`` unregisters from the resource tracker itself; no manual
-        ledger maintenance here (see the attach-mode note in ``__init__``).
-        """
-        owner = self._owner
-        try:
-            self.close()
-        except (OSError, BufferError):  # pragma: no cover - teardown best-effort
-            pass
-        if owner:
-            try:
-                self._shm.unlink()
-            except OSError:  # pragma: no cover - already unlinked elsewhere
-                pass
+        """Release this process's mapping (idempotent)."""
+        if not self._map.closed:
+            self._words.release()
+            self._map.close()

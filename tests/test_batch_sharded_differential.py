@@ -6,12 +6,15 @@ sharded engine's, one level up: ``engine="batch"`` with ``shards=k``
 field, including per-round history records and per-node occupancy maxima —
 to the ``shards=1`` delta-engine run, across the whole vectorized family
 ({PTS, work-conserving PTS, local, downhill, greedy} x {trickle, random,
-explicit} x three history modes), on every transport:
+explicit} x three history modes), on both transports.  Every batch×shards
+round runs through one drive mode: k-round windows whose boundary facts
+travel over shared rings the coordinator creates before it starts the
+workers.
 
-* ``local``        — relay mode, in-process (the fast full matrix);
-* ``processes``    + ``shm=False`` — relay mode over real pipes;
-* ``processes``    + ``shm=True``  — window mode over shared-memory rings,
-  the k-round free-running path this PR adds.
+* ``local``     — one thread per worker command, in-process (the fast full
+  matrix);
+* ``processes`` — forked worker processes that inherit the rings
+  (``extras["engine"]["transport"] == "shm"``).
 
 Beyond the result record, the stitched checkpoint's decoded *packet table*
 (every ``packets/*`` int64 column) must match the single-process
@@ -20,6 +23,10 @@ recover to the identical result.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
+import time
 
 import pytest
 
@@ -111,7 +118,7 @@ def _delta_baseline(algorithm: str, adversary: str, history: str,
 
 
 # ---------------------------------------------------------------------------
-# The full matrix on the in-process transport (relay mode)
+# The full matrix on the in-process transport
 # ---------------------------------------------------------------------------
 
 
@@ -133,36 +140,83 @@ def test_batch_sharded_matrix_local(algorithm, adversary):
             assert extras["engine"]["transport"] == "local"
 
 
+def test_local_worker_threads_under_forced_switching():
+    """More worker threads than cores, switching every few microseconds:
+    a block lost or read twice on either lane would change the result, and
+    no worker thread may outlive the run."""
+    baseline = _delta_baseline("pts_wc", "random", "full")
+    spec = _build_spec("pts_wc", "random", "full")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        sharded, _ = run_sharded(spec, shards=4, transport="local")
+    finally:
+        sys.setswitchinterval(interval)
+    assert sharded == baseline
+    assert not [thread for thread in threading.enumerate()
+                if thread.name.startswith("segment-worker-")]
+
+
 # ---------------------------------------------------------------------------
-# Real worker processes: pipe relay and shared-memory window mode
+# Real worker processes over fork-inherited rings
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-def test_processes_transport_both_paths(algorithm):
-    """shm rings (window mode) and pipes (relay) both match the oracle."""
+def test_processes_transport(algorithm):
+    """Worker processes trading blocks over shared rings match the oracle."""
     baseline = _delta_baseline(algorithm, "trickle", "full")
     spec = _build_spec(algorithm, "trickle", "full")
-    for shm, transport_label in ((True, "shm"), (False, "processes")):
-        sharded, extras = run_sharded(
-            spec, shards=3, transport="processes", shm=shm
-        )
-        assert sharded == baseline, (
-            f"{algorithm} diverged on processes transport (shm={shm})"
-        )
-        assert extras["engine"]["transport"] == transport_label
+    sharded, extras = run_sharded(spec, shards=3, transport="processes")
+    assert sharded == baseline, f"{algorithm} diverged on processes transport"
+    assert extras["engine"]["transport"] == "shm"
 
 
 def test_shard_counts_on_shm_transport():
-    """Window mode across every acceptance shard count."""
+    """Worker processes across every acceptance shard count."""
     baseline = _delta_baseline("pts", "random", "summary")
     spec = _build_spec("pts", "random", "summary")
     for shards in SHARD_COUNTS:
         sharded, extras = run_sharded(
-            spec, shards=shards, transport="processes", shm=True
+            spec, shards=shards, transport="processes"
         )
         assert sharded == baseline, f"shards={shards} diverged over shm"
         assert extras["engine"]["transport"] == "shm"
+
+
+def test_rings_do_not_need_named_shared_memory(monkeypatch):
+    """A host without ``/dev/shm``: named POSIX shared memory fails, and the
+    anonymous fork-inherited rings still carry the run bit-identically."""
+    from multiprocessing import shared_memory
+
+    def unavailable(*args, **kwargs):
+        raise OSError("no /dev/shm on this host")
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", unavailable)
+    baseline = _delta_baseline("greedy", "random", "summary")
+    spec = _build_spec("greedy", "random", "summary")
+    sharded, extras = run_sharded(spec, shards=2, transport="processes")
+    assert sharded == baseline
+    assert extras["engine"]["transport"] == "shm"
+
+
+def test_workers_without_rings_refuse_or_fall_back(monkeypatch):
+    """Without fork, worker processes cannot inherit the rings: a batch
+    engine is refused with a typed error, and engine=auto runs delta
+    workers and records why."""
+    from repro.network import sharded as sharded_module
+
+    monkeypatch.setattr(sharded_module, "_can_fork", lambda: False)
+    with pytest.raises(UnbatchableScenarioError, match="cannot fork"):
+        run_sharded(_build_spec("pts", "random", "summary"), shards=2,
+                    transport="processes")
+    baseline = _delta_baseline("pts", "random", "summary")
+    spec = _build_spec("pts", "random", "summary", engine="auto")
+    sharded, extras = run_sharded(spec, shards=2, transport="processes")
+    assert sharded == baseline
+    assert extras["engine"]["selected"] == "delta"
+    assert "cannot fork" in extras["engine"]["fallback_reason"]
+    assert extras["engine"]["transport"] == "processes"
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +242,8 @@ def test_stitched_checkpoint_matches_single_process(history, tmp_path):
     baseline = Session().run(baseline_spec).result
 
     spec = _checkpoint_spec(history, sharded_path, "batch")
-    for transport, shm in (("local", None), ("processes", True)):
-        sharded, _ = run_sharded(
-            spec, shards=3, transport=transport, shm=shm
-        )
+    for transport in ("local", "processes"):
+        sharded, _ = run_sharded(spec, shards=3, transport=transport)
         assert sharded == baseline
 
         stitched = load_checkpoint(sharded_path)
@@ -275,10 +327,9 @@ def _packet_table(path: str):
     }
 
 
-@pytest.mark.parametrize("transport,shm", [("local", None),
-                                           ("processes", True)])
+@pytest.mark.parametrize("transport", ["local", "processes"])
 @pytest.mark.parametrize("case", sorted(PINNED_BOUNDARY))
-def test_pinned_boundary_cases(case, transport, shm, tmp_path):
+def test_pinned_boundary_cases(case, transport, tmp_path):
     """shards=2 batch on a decisive boundary == the shards=1 delta run:
     result record and the packet table at the horizon cut."""
     single_path = str(tmp_path / "single.ckpt")
@@ -286,11 +337,13 @@ def test_pinned_boundary_cases(case, transport, shm, tmp_path):
     baseline = Session().run(_pinned_spec(case, "delta", single_path)).result
     sharded, extras = run_sharded(
         _pinned_spec(case, "batch", sharded_path), shards=2,
-        transport=transport, shm=shm,
+        transport=transport,
     )
     assert sharded == baseline
     assert extras["engine"]["selected"] == "batch"
-    assert extras["engine"]["transport"] == ("shm" if shm else transport)
+    assert extras["engine"]["transport"] == (
+        "shm" if transport == "processes" else transport
+    )
     table = _packet_table(single_path)
     assert table
     assert _packet_table(sharded_path) == table
@@ -308,22 +361,32 @@ def _crash_plan(round_number: int = 33, segment: int = 1) -> FaultPlan:
     ))
 
 
-@pytest.mark.parametrize("transport,shm", [("local", None),
-                                           ("processes", True),
-                                           ("processes", False)])
-def test_injected_crash_recovers_bit_identically(transport, shm, tmp_path):
+#: Ring waits give up after 60 s; an aborted ring must end them long before.
+RING_TIMEOUT_S = 60.0
+
+
+@pytest.mark.parametrize("transport", ["local", "processes"])
+@pytest.mark.parametrize("algorithm", ["pts", "downhill"])
+def test_injected_crash_recovers_bit_identically(algorithm, transport,
+                                                 tmp_path):
     """A worker crash mid-window restarts from the checkpoint cut and the
-    run still finishes bit-identical to the fault-free delta oracle."""
+    run still finishes bit-identical to the fault-free delta oracle.
+
+    Downhill trades the right-to-left lane every round, so its left
+    neighbour is blocked on that lane when segment 1 dies; teardown's abort
+    word must free it at once rather than after the ring timeout."""
     path = str(tmp_path / "crash.ckpt")
-    baseline = _delta_baseline("pts", "random", "full")
-    spec = _build_spec("pts", "random", "full", recovery="restart",
+    baseline = _delta_baseline(algorithm, "random", "full")
+    spec = _build_spec(algorithm, "random", "full", recovery="restart",
                        checkpoint_every=20, checkpoint_path=path)
+    started = time.perf_counter()
     sharded, extras = run_sharded(
-        spec, shards=3, transport=transport, shm=shm,
-        faults=_crash_plan(),
+        spec, shards=3, transport=transport, faults=_crash_plan(),
     )
+    elapsed = time.perf_counter() - started
     assert sharded == baseline
     assert extras["recovery"]["restarts"] >= 1
+    assert elapsed < RING_TIMEOUT_S / 4
 
 
 def test_injected_crash_fold_recovery_matches():

@@ -9,9 +9,9 @@ coordinator as ``extras["handoff_traces"]``.
 
 Fuzzed law: for random scenario shapes x random segmentations x random
 window lengths — including horizons that tear the last window and drain
-tails that stop mid-window — the per-segment traces from the
-shared-memory window path are byte-identical to the pickled-pipe relay
-path and to the in-process relay, and all three runs produce the same
+tails that stop mid-window — the per-segment traces from worker processes
+are byte-identical to those from in-process worker threads (both drive the
+same windows over the same kind of ring), and both runs produce the same
 :class:`SimulationResult`.
 """
 
@@ -72,31 +72,25 @@ def _traces(extras):
 
 @settings(max_examples=10, deadline=None)
 @given(scenario=scenarios())
-def test_shm_ingested_blocks_byte_identical_to_pipe(scenario):
-    """The satellite law: shm window mode == pipe relay == local relay,
-    block for block and field for field."""
+def test_ingested_blocks_identical_across_transports(scenario):
+    """The law: worker processes == in-process worker threads, block for
+    block and field for field."""
     n, shards, *_ = scenario
     spec = _build_spec(scenario)
 
     local_result, local_extras = run_sharded(
         spec, shards=shards, transport="local"
     )
-    pipe_result, pipe_extras = run_sharded(
-        spec, shards=shards, transport="processes", shm=False
-    )
     shm_result, shm_extras = run_sharded(
-        spec, shards=shards, transport="processes", shm=True
+        spec, shards=shards, transport="processes"
     )
 
-    assert pipe_result == local_result
     assert shm_result == local_result
+    assert local_extras["engine"]["transport"] == "local"
     assert shm_extras["engine"]["transport"] == "shm"
 
     local_traces = _traces(local_extras)
-    pipe_traces = _traces(pipe_extras)
-    shm_traces = _traces(shm_extras)
-    assert pipe_traces == local_traces
-    assert shm_traces == local_traces
+    assert _traces(shm_extras) == local_traces
 
     # Trace shape sanity: 6-word stride of (round, packet id, source,
     # destination, injected round, arrival round).  Hand-offs only flow
@@ -136,25 +130,20 @@ def test_checkpoint_cuts_tear_windows_identically(
     ).result
 
     results = {}
-    for label, transport, shm in (
-        ("pipe", "processes", False),
-        ("shm", "processes", True),
-    ):
-        path = str(directory / f"{label}.ckpt")
+    for transport in ("local", "processes"):
+        path = str(directory / f"{transport}.ckpt")
         spec = Scenario.from_spec(base_spec).policy(
             checkpoint_every=checkpoint_every, checkpoint_path=path,
         ).build()
-        result, extras = run_sharded(
-            spec, shards=shards, transport=transport, shm=shm
-        )
+        result, extras = run_sharded(spec, shards=shards, transport=transport)
         assert result == uninterrupted
-        results[label] = (_traces(extras), path)
+        results[transport] = (_traces(extras), path)
 
-    assert results["shm"][0] == results["pipe"][0]
+    assert results["processes"][0] == results["local"][0]
     # A degenerate horizon (no injections, zero rounds executed) writes no
     # cut on any engine; the transports must at least agree on that.
-    shm_path, pipe_path = results["shm"][1], results["pipe"][1]
-    assert os.path.exists(shm_path) == os.path.exists(pipe_path)
+    shm_path, local_path = results["processes"][1], results["local"][1]
+    assert os.path.exists(shm_path) == os.path.exists(local_path)
     if os.path.exists(shm_path):
         resumed = Session().resume(shm_path)
         assert resumed.result == uninterrupted

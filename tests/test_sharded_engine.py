@@ -80,6 +80,15 @@ def test_execution_policy_validation():
         ExecutionPolicy(shards=2, transport="carrier-pigeon")
 
 
+def test_shards_rejects_bool_like_run_policy():
+    """``True`` is an int to Python but not a shard count: refused as
+    ``RunPolicy(shards=True)`` is, instead of running as one shard."""
+    with pytest.raises(UnshardableScenarioError, match="shards"):
+        ExecutionPolicy(shards=True)
+    with pytest.raises(UnshardableScenarioError, match="shards"):
+        run_sharded(_line_spec(), shards=True, transport="local")
+
+
 # ---------------------------------------------------------------------------
 # Segment-filtered adversaries
 # ---------------------------------------------------------------------------
