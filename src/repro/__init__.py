@@ -4,8 +4,8 @@ A from-scratch reproduction of *"With Great Speed Come Small Buffers:
 Space-Bandwidth Tradeoffs for Routing"* (Miller, Patt-Shamir, Rosenbaum,
 PODC 2019 / arXiv:1902.08069): an executable Adversarial Queuing Theory
 simulator, the paper's PTS / PPTS / HPTS forwarding algorithms and their tree
-variants, the Section 5 lower-bound adversary, greedy baselines, and an
-experiment harness that regenerates every bound as a measured-vs-theory table.
+variants, the Section 5 lower-bound adversary, greedy baselines, and the
+E1-E9 experiments that regenerate every bound as a measured-vs-theory table.
 
 Quickstart
 ----------
@@ -88,7 +88,6 @@ from .experiments import (
     hierarchical_workload,
     lower_bound_workload,
     multi_destination_workload,
-    run_workload,
     single_destination_workload,
     tree_workload,
 )
@@ -161,7 +160,6 @@ __all__ = [
     "hierarchical_workload",
     "lower_bound_workload",
     "multi_destination_workload",
-    "run_workload",
     "single_destination_workload",
     "tree_workload",
     "ForestTopology",

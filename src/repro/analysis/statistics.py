@@ -3,9 +3,9 @@
 Benchmarks and examples usually report a single deterministic run per
 parameter point; for randomized adversaries it is often more informative to
 aggregate several seeds.  These helpers compute the usual summary statistics
-(numpy-backed) and confidence-style spreads over a collection of
-:class:`~repro.experiments.harness.ExperimentRow` or plain numbers, grouped by
-arbitrary parameter keys.
+(numpy-backed) and confidence-style spreads over a collection of row
+mappings (such as :meth:`~repro.api.session.RunReport.as_row` output) or plain
+numbers, grouped by arbitrary parameter keys.
 """
 
 from __future__ import annotations

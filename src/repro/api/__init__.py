@@ -5,7 +5,7 @@ adversary x forwarding algorithm x run policy*.  This package makes that
 quadruple a first-class, serialisable object (:class:`ScenarioSpec`) and
 provides one engine (:class:`Session`) that executes it, replacing the
 hand-wired constructor plumbing previously duplicated across the CLI,
-benchmarks, examples and the experiment harness.
+benchmarks and examples.
 
 Quickstart
 ----------

@@ -65,7 +65,7 @@ class RunReport:
     within_bound: bool
     #: Scenario parameters worth reporting (merged topology/adversary/algorithm).
     params: Dict[str, Any] = field(default_factory=dict)
-    #: The originating spec (``None`` for compatibility-layer runs).
+    #: The originating spec (``None`` for :class:`PreparedRun` runs).
     spec: Optional[ScenarioSpec] = None
     #: Recovery telemetry from the sharded supervisor (``None`` for
     #: single-process runs): ``restarts`` counts worker respawns the run
@@ -111,9 +111,9 @@ class RunReport:
 class PreparedRun:
     """A scenario with its three ingredients already constructed.
 
-    The compatibility layer (:func:`repro.experiments.harness.run_workload`,
-    hand-built objects in tests) funnels through this so every execution path
-    shares one engine: :meth:`Session.run`.
+    Hand-built ingredients (a workload's pattern, an algorithm object
+    constructed directly) funnel through this so every execution path shares
+    one engine: :meth:`Session.run`.
     """
 
     topology: Topology

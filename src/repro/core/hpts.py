@@ -115,10 +115,6 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
         #: one nonempty ``(level, w)`` pseudo-buffer somewhere on the line.
         self._level_destinations: Dict[int, set] = {}
 
-    #: Debug/equivalence switch: ``False`` restores the seed engine's
-    #: per-round interval scans (the indices stay maintained either way).
-    use_incremental_selection = True
-
     # -- packet placement --------------------------------------------------------
 
     def classify(self, packet: Packet, node: int) -> Hashable:
@@ -389,35 +385,18 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
         activations: List[Activation],
     ) -> None:
         """Algorithm 4 restricted to the level-``level`` interval ``[start, end]``."""
-        if self.use_incremental_selection:
-            destinations = sorted(
-                w
-                for w in self._level_destinations.get(level, ())
-                if self._index.has_nonempty_in((level, w), start, end)
-            )
-        else:
-            destinations = sorted(
-                {
-                    key[1]
-                    for i in range(start, end + 1)
-                    for key in self.buffers[i].nonempty_keys()
-                    if isinstance(key, tuple) and key[0] == level
-                }
-            )
+        destinations = sorted(
+            w
+            for w in self._level_destinations.get(level, ())
+            if self._index.has_nonempty_in((level, w), start, end)
+        )
         if not destinations:
             return
         frontier = max(destinations)
         for w in reversed(destinations):
             key = (level, w)
             last = min(frontier - 1, w - 1, end)
-            if self.use_incremental_selection:
-                bad = self._index.leftmost_bad(key, start, last)
-            else:
-                bad = None
-                for i in range(start, last + 1):
-                    if self.buffers[i].load_of(key) >= 2:
-                        bad = i
-                        break
+            bad = self._index.leftmost_bad(key, start, last)
             if bad is None:
                 continue
             for i in range(bad, last + 1):

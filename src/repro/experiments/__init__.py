@@ -1,7 +1,6 @@
-"""Experiment harness, workload builders, figure data and the E1-E9 registry."""
+"""Workload builders, figure data and the E1-E9 experiment registry."""
 
 from .figures import figure1_data, render_figure1, trajectory_table
-from .harness import ExperimentRow, rows_to_table, run_workload, sweep
 from .registry import EXPERIMENTS, Experiment, get_experiment, list_experiments
 from .workloads import (
     Workload,
@@ -16,10 +15,6 @@ __all__ = [
     "figure1_data",
     "render_figure1",
     "trajectory_table",
-    "ExperimentRow",
-    "rows_to_table",
-    "run_workload",
-    "sweep",
     "EXPERIMENTS",
     "Experiment",
     "get_experiment",

@@ -1,7 +1,8 @@
-"""Named workload builders used by the experiment harness and benchmarks.
+"""Named workload builders for the paper's scenario families.
 
 A *workload* bundles a topology, an adversary and the parameters needed to
-build a forwarding algorithm for it.  Each builder corresponds to a family of
+build a forwarding algorithm for it; ``Session().run(PreparedRun(...))`` runs
+one against an algorithm, with the bound taken at the workload's ``sigma``.  Each builder corresponds to a family of
 scenarios in the paper's results (single destination, multiple destinations,
 trees, hierarchy, lower bound) and exposes knobs for the sweeps in DESIGN.md's
 per-experiment index.

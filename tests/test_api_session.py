@@ -72,17 +72,21 @@ class TestRun:
 
 
 class TestBoundComputation:
-    def test_compat_layer_uses_the_workload_declared_sigma(self):
+    def test_prepared_run_bounds_an_unclaimed_adversary_at_the_declared_sigma(self):
         # The lower-bound pattern declares sigma=None (no claim); the workload
-        # declares 2.0 — the harness row must keep the pre-API behaviour of
-        # computing the bound from the workload's sigma.
+        # declares 2.0 — the bound must come from the PreparedRun's sigma.
         from repro.core.ppts import ParallelPeakToSink
-        from repro.experiments.harness import run_workload
         from repro.experiments.workloads import lower_bound_workload
 
         workload = lower_bound_workload(3, 2, rho=0.5, num_phases=4)
-        row = run_workload(workload, lambda w: ParallelPeakToSink(w.topology))
-        assert row.bound is not None
+        assert getattr(workload.pattern, "sigma", None) is None
+        algorithm = ParallelPeakToSink(workload.topology)
+        report = Session().run(
+            PreparedRun(topology=workload.topology, algorithm=algorithm,
+                        adversary=workload.pattern, sigma=workload.sigma)
+        )
+        assert report.bound is not None
+        assert report.bound == algorithm.theoretical_bound(workload.sigma)
 
     def test_exact_boundary_occupancy_counts_as_within_bound(self):
         # hpts_upper_bound(64, 3, 2) is 14.999999999999998 through floating

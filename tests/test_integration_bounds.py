@@ -2,19 +2,20 @@
 
 These are the end-to-end versions of the E1-E4 benchmarks, shrunk to sizes
 suitable for the unit-test suite.  They run the whole stack — workload
-builders, simulator, algorithms, bound checking — and assert that every upper
-bound from the paper holds on every (workload, algorithm) pair it applies to.
+builders, :class:`~repro.api.session.Session`, simulator, algorithms, bound
+checking — and assert that every upper bound from the paper holds on every
+(workload, algorithm) pair it applies to.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api.session import PreparedRun, RunReport, Session
 from repro.core.hpts import HierarchicalPeakToSink
 from repro.core.ppts import ParallelPeakToSink
 from repro.core.pts import PeakToSink
 from repro.core.tree import TreeParallelPeakToSink, TreePeakToSink
-from repro.experiments.harness import run_workload, sweep
 from repro.experiments.workloads import (
     hierarchical_workload,
     multi_destination_workload,
@@ -22,6 +23,15 @@ from repro.experiments.workloads import (
     tree_workload,
 )
 from repro.network.topology import binary_tree, caterpillar_tree, star_tree
+
+
+def _run(workload, algorithm) -> RunReport:
+    """Run ``algorithm`` on ``workload``, bounding it at the declared sigma."""
+    return Session().run(
+        PreparedRun(topology=workload.topology, algorithm=algorithm,
+                    adversary=workload.pattern, sigma=workload.sigma,
+                    params=workload.params, name=workload.name)
+    )
 
 
 class TestProposition31Sweep:
@@ -33,8 +43,8 @@ class TestProposition31Sweep:
             workload = single_destination_workload(
                 n, rho, sigma, num_rounds=80, kind=kind, seed=n + sigma
             )
-            row = run_workload(workload, lambda w: PeakToSink(w.topology))
-            assert row.within_bound, row.as_dict()
+            row = _run(workload, PeakToSink(workload.topology))
+            assert row.within_bound, row.as_row()
 
 
 class TestProposition32Sweep:
@@ -44,13 +54,13 @@ class TestProposition32Sweep:
         workload = multi_destination_workload(
             48, d, rho=1.0, sigma=2, num_rounds=120, kind=kind, seed=d
         )
-        row = run_workload(workload, lambda w: ParallelPeakToSink(w.topology))
-        assert row.within_bound, row.as_dict()
+        row = _run(workload, ParallelPeakToSink(workload.topology))
+        assert row.within_bound, row.as_row()
 
     def test_ppts_and_pts_agree_on_single_destination(self):
         workload = single_destination_workload(32, 1.0, 2, 100, kind="stress")
-        pts_row = run_workload(workload, lambda w: PeakToSink(w.topology))
-        ppts_row = run_workload(workload, lambda w: ParallelPeakToSink(w.topology))
+        pts_row = _run(workload, PeakToSink(workload.topology))
+        ppts_row = _run(workload, ParallelPeakToSink(workload.topology))
         # PPTS restricted to one destination is exactly PTS, so the measured
         # occupancies coincide.
         assert pts_row.max_occupancy == ppts_row.max_occupancy
@@ -68,18 +78,18 @@ class TestProposition35Sweep:
     def test_tree_algorithms_over_topologies(self, tree_builder):
         tree = tree_builder()
         root_only = tree_workload(tree, 1.0, 2, 80, destinations=[tree.root])
-        row = run_workload(root_only, lambda w: TreePeakToSink(w.topology))
-        assert row.within_bound, row.as_dict()
+        row = _run(root_only, TreePeakToSink(root_only.topology))
+        assert row.within_bound, row.as_row()
 
         internal = [v for v in tree.nodes if tree.children(v)][:3] or [tree.root]
         multi = tree_workload(tree, 1.0, 2, 80, destinations=internal)
-        row = run_workload(
+        row = _run(
             multi,
-            lambda w: TreeParallelPeakToSink(
-                w.topology, destinations=w.params["destinations"]
+            TreeParallelPeakToSink(
+                multi.topology, destinations=multi.params["destinations"]
             ),
         )
-        assert row.within_bound, row.as_dict()
+        assert row.within_bound, row.as_row()
 
 
 class TestTheorem41Sweep:
@@ -89,13 +99,11 @@ class TestTheorem41Sweep:
         workload = hierarchical_workload(
             branching, levels, rho, sigma=2, num_rounds=50 * levels
         )
-        row = run_workload(
+        row = _run(
             workload,
-            lambda w: HierarchicalPeakToSink(
-                w.topology, levels, branching, rho=rho
-            ),
+            HierarchicalPeakToSink(workload.topology, levels, branching, rho=rho),
         )
-        assert row.within_bound, row.as_dict()
+        assert row.within_bound, row.as_row()
 
     def test_bound_shape_hpts_vs_ppts_crossover(self):
         """For many destinations at low rate the HPTS *bound* beats the PPTS
@@ -106,19 +114,14 @@ class TestTheorem41Sweep:
         workload = hierarchical_workload(
             branching, levels, rho, sigma=1, num_rounds=180, kind="random", seed=1
         )
-        rows = sweep(
-            [workload],
-            {
-                "hpts": lambda w: HierarchicalPeakToSink(
-                    w.topology, levels, branching, rho=rho
-                ),
-                "ppts": lambda w: ParallelPeakToSink(w.topology),
-            },
+        hpts = _run(
+            workload,
+            HierarchicalPeakToSink(workload.topology, levels, branching, rho=rho),
         )
-        by_name = {row.algorithm: row for row in rows}
-        assert by_name["HPTS"].within_bound
-        assert by_name["PPTS"].within_bound
+        ppts = _run(workload, ParallelPeakToSink(workload.topology))
+        assert hpts.within_bound
+        assert ppts.within_bound
         # The HPTS guarantee is what scales: ell * n^(1/ell) + sigma + 1 stays
         # far below 1 + d + sigma once d is large.
-        d = by_name["PPTS"].params.get("n") - 1
-        assert by_name["HPTS"].bound < 1 + d + 1
+        d = ppts.params.get("n") - 1
+        assert hpts.bound < 1 + d + 1

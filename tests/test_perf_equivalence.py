@@ -5,8 +5,9 @@ The acceptance bar for the incremental engine is *bit-identical*
 
 * the delta-fed :class:`OccupancyTimeline` (hot path) against the
   full-snapshot path (used when history recording is on),
-* the incremental ``select_activations`` of PTS / PPTS / HPTS and the tree
-  algorithms against the seed engine's linear scans,
+* the incremental ``select_activations`` of PTS / PPTS / HPTS, greedy and
+  the tree algorithms against the seed engine's linear scans
+  (:mod:`selection_oracle`),
 * latency / delivery statistics folded in at delivery time against the
   per-packet recomputation.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+import selection_oracle
 from repro.api.session import Session
 from repro.api.specs import ScenarioSpec
 
@@ -61,6 +63,17 @@ LINE_SCENARIOS = [
             "algorithm": {"name": "greedy", "params": {}},
             "adversary": {"name": "bounded", "rho": 0.9, "sigma": 3.0,
                           "rounds": 220, "params": {"num_destinations": 6}},
+            "policy": {"seed": 11},
+        }
+    ),
+    _spec(
+        {
+            "name": "equiv/tree-pts",
+            "topology": {"kind": "tree", "params": {"family": "random",
+                                                    "num_nodes": 40, "seed": 5}},
+            "algorithm": {"name": "tree-pts", "params": {}},
+            "adversary": {"name": "convergecast", "rho": 0.9, "sigma": 3.0,
+                          "rounds": 180, "params": {}},
             "policy": {"seed": 11},
         }
     ),
@@ -124,20 +137,15 @@ def test_delta_timeline_matches_full_snapshot_path(spec):
 
 
 @pytest.mark.parametrize("spec", LINE_SCENARIOS, ids=lambda s: s.label)
-def test_incremental_engine_matches_seed_scan_engine(spec):
-    """Flip the algorithms back to the seed scan path; results must be identical."""
+def test_incremental_engine_matches_seed_scan_engine(monkeypatch, spec):
+    """Swap in the seed scan selection; results must be identical."""
     session = Session()
     incremental = session.run(spec)
 
     scan_session = Session()
-    with_scan = scan_session.prepare(spec)  # outside a scope: ids still scoped below
-    algorithm_type = type(with_scan.algorithm)
-    assert getattr(algorithm_type, "use_incremental_selection", None) is True
-    try:
-        algorithm_type.use_incremental_selection = False
-        scan = scan_session.run(spec)
-    finally:
-        algorithm_type.use_incremental_selection = True
+    algorithm_type = type(scan_session.prepare(spec).algorithm)
+    selection_oracle.install(monkeypatch, algorithm_type)
+    scan = scan_session.run(spec)
 
     assert _result_fingerprint(incremental.result) == _result_fingerprint(scan.result)
     assert incremental.within_bound == scan.within_bound

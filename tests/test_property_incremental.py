@@ -11,7 +11,8 @@ Three layers of cached state must exactly track a from-scratch recount after
   peak-to-sink algorithms select activations from.
 
 And the incremental ``select_activations`` paths must produce exactly the
-activation lists of the seed engine's linear scans on the same configuration.
+activation lists of the seed engine's linear scans (:mod:`selection_oracle`)
+on the same configuration.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import selection_oracle
+from repro.core.hpts import HierarchicalPeakToSink
 from repro.core.indexset import BufferIndex, SortedIndexSet
 from repro.core.packet import Packet, make_injection, packet_id_scope
 from repro.core.pseudobuffer import NodeBuffer
@@ -169,16 +172,16 @@ def test_occupancy_delta_matches_full_snapshots(seed):
 # ---------------------------------------------------------------------------
 
 
-def _drive_and_compare(algorithm, inject, rounds: int, seed: int) -> None:
-    """Run random inject/forward traffic; compare both selection paths."""
+def _drive_and_compare(monkeypatch, algorithm, inject, rounds: int, seed: int) -> None:
+    """Run random inject/forward traffic; compare production with the oracle."""
     rng = random.Random(seed)
     with packet_id_scope():
         for round_number in range(rounds):
             inject(rng, algorithm, round_number)
-            algorithm.use_incremental_selection = True
             incremental = algorithm.select_activations(round_number)
-            algorithm.use_incremental_selection = False
-            scan = algorithm.select_activations(round_number)
+            with monkeypatch.context() as patch:
+                selection_oracle.install(patch, type(algorithm))
+                scan = algorithm.select_activations(round_number)
             assert incremental == scan, f"round {round_number}: {incremental} != {scan}"
             # Apply the activations the way the simulator would (pop all,
             # then re-store at next hops) so later rounds see evolving state.
@@ -199,43 +202,72 @@ def _drive_and_compare(algorithm, inject, rounds: int, seed: int) -> None:
                 if next_hop != packet.destination:
                     algorithm.on_arrival(packet, next_hop, round_number)
             algorithm.on_round_end(round_number)
-        algorithm.use_incremental_selection = True
 
 
 def _line_injector(destinations):
     def inject(rng, algorithm, round_number):
+        # One on_inject call per round, empty or not, as the simulator makes:
+        # HPTS accepts its staged packets on the phase's first call.
+        packets = []
         for _ in range(rng.randrange(3)):
             destination = rng.choice(destinations)
             source = rng.randrange(destination)
-            packet = Packet.from_injection(
-                make_injection(round_number, source, destination)
+            packets.append(
+                Packet.from_injection(make_injection(round_number, source, destination))
             )
-            algorithm.on_inject(round_number, [packet])
+        algorithm.on_inject(round_number, packets)
 
     return inject
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_pts_incremental_selection_equals_scan(seed):
+def test_pts_incremental_selection_equals_scan(monkeypatch, seed):
     line = LineTopology(24)
     algorithm = PeakToSink(line)
-    _drive_and_compare(algorithm, _line_injector([23]), rounds=150, seed=seed)
+    _drive_and_compare(
+        monkeypatch, algorithm, _line_injector([23]), rounds=150, seed=seed
+    )
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_ppts_incremental_selection_equals_scan(seed):
+def test_ppts_incremental_selection_equals_scan(monkeypatch, seed):
     line = LineTopology(24)
     algorithm = ParallelPeakToSink(line)
-    _drive_and_compare(algorithm, _line_injector([6, 13, 23]), rounds=150, seed=seed)
+    _drive_and_compare(
+        monkeypatch, algorithm, _line_injector([6, 13, 23]), rounds=150, seed=seed
+    )
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_greedy_incremental_selection_equals_scan(seed):
+def test_greedy_incremental_selection_equals_scan(monkeypatch, seed):
     from repro.baselines.greedy import GreedyForwarding
 
     line = LineTopology(24)
     algorithm = GreedyForwarding(line)
-    _drive_and_compare(algorithm, _line_injector([6, 13, 23]), rounds=150, seed=seed)
+    _drive_and_compare(
+        monkeypatch, algorithm, _line_injector([6, 13, 23]), rounds=150, seed=seed
+    )
+
+
+@pytest.mark.parametrize("levels,branching", [(2, 4), (3, 3), (1, 16)])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        {},
+        {"batch_acceptance": False},
+        {"activate_pre_bad": False},
+        {"level_schedule": "ascending"},
+    ],
+    ids=["default", "immediate-acceptance", "no-pre-bad", "ascending"],
+)
+def test_hpts_incremental_selection_equals_scan(monkeypatch, levels, branching, flags):
+    line = LineTopology(branching ** levels)
+    algorithm = HierarchicalPeakToSink(line, levels, branching, **flags)
+    destinations = list(range(1, line.num_nodes))
+    _drive_and_compare(
+        monkeypatch, algorithm, _line_injector(destinations), rounds=150,
+        seed=levels * 100 + branching,
+    )
 
 
 def _tree_injector(tree, destinations):
@@ -259,17 +291,21 @@ def _tree_injector(tree, destinations):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_tree_pts_incremental_selection_equals_scan(seed):
+def test_tree_pts_incremental_selection_equals_scan(monkeypatch, seed):
     tree = random_tree(20, seed=seed)
     algorithm = TreePeakToSink(tree)
-    _drive_and_compare(algorithm, _tree_injector(tree, [tree.root]), rounds=120, seed=seed)
+    _drive_and_compare(
+        monkeypatch, algorithm, _tree_injector(tree, [tree.root]), rounds=120,
+        seed=seed,
+    )
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_tree_ppts_incremental_selection_equals_scan(seed):
+def test_tree_ppts_incremental_selection_equals_scan(monkeypatch, seed):
     tree = random_tree(20, seed=seed)
     interior = [node for node in tree.nodes if tree.children(node)]
     algorithm = TreeParallelPeakToSink(tree)
     _drive_and_compare(
-        algorithm, _tree_injector(tree, interior[:3] or [tree.root]), rounds=120, seed=seed
+        monkeypatch, algorithm, _tree_injector(tree, interior[:3] or [tree.root]),
+        rounds=120, seed=seed,
     )
